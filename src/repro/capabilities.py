@@ -44,8 +44,6 @@ def build_descriptor() -> Dict[str, Any]:
         "fault_kinds": sorted(FAULT_KINDS),
         "scenarios": sorted(SCENARIOS),
         "algorithms": ["fixed", "qsa", "random"],
-        "composition_kernels": ["dijkstra", "dp", "vectorized"],
-        "composition_kernel_default": GridConfig().composition_kernel,
         "lookup_protocols": ["can", "chord"],
         "peer_state_backends": ["object", "soa"],
         "peer_state_backend_default": GridConfig().peer_state_backend,

@@ -764,8 +764,6 @@ def _cmd_info(args) -> int:
     print(f"paper: {desc['paper']}")
     print(f"algorithms:       {', '.join(desc['algorithms'])}")
     print(f"lookup protocols: {', '.join(desc['lookup_protocols'])}")
-    print(f"QCS kernels:      {', '.join(desc['composition_kernels'])} "
-          f"(default {desc['composition_kernel_default']})")
     print(f"peer state:       {', '.join(desc['peer_state_backends'])} "
           f"(default {desc['peer_state_backend_default']})")
     print(f"fast paths:       "

@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.composition import ComposedPath, CompositionError, compose_qcs
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import QoSVector
-from repro.lookup.cache import CacheStats, trim_mapping
 from repro.core.resources import WeightProfile
 from repro.core.selection import PeerSelector, PhiWeights
 from repro.lookup.registry import ServiceRegistry
@@ -88,9 +87,6 @@ class BaseAggregator:
     """Template for all three §4.1 algorithms (QSA / random / fixed)."""
 
     name = "base"
-    #: Optional :class:`repro.sim.trace.Tracer`; set by the grid factory
-    #: when tracing is enabled.
-    tracer = None
     #: Optional :class:`repro.telemetry.bus.EventBus`; set by the grid
     #: factory.  Always receives one low-volume ``request.setup`` event
     #: per request -- the feed the metrics layer subscribes to -- whether
@@ -148,16 +144,7 @@ class BaseAggregator:
         """
         raise NotImplementedError
 
-    def _trace(self, result: AggregationResult) -> AggregationResult:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "request",
-                request_id=result.request.request_id,
-                peer=result.request.peer_id,
-                application=result.request.application,
-                level=result.request.qos_level,
-                status=result.status.value,
-            )
+    def _publish(self, result: AggregationResult) -> AggregationResult:
         if self.bus is not None:
             req = result.request
             self.bus.emit(
@@ -199,14 +186,14 @@ class BaseAggregator:
                 path.services, request.peer_id
             )
         if any(not specs for specs in candidates.values()):
-            return self._trace(AggregationResult(
+            return self._publish(AggregationResult(
                 request, AggregationStatus.NO_CANDIDATES, lookup_hops=hops
             ))
 
         try:
             composed = self.compose(path, candidates, user_qos, request)
         except CompositionError:
-            return self._trace(AggregationResult(
+            return self._publish(AggregationResult(
                 request, AggregationStatus.COMPOSITION_FAILED, lookup_hops=hops
             ))
 
@@ -238,7 +225,7 @@ class BaseAggregator:
 
         peers = self.select_peers(request, composed, hosts_selection_order)
         if peers is None:
-            return self._trace(AggregationResult(
+            return self._publish(AggregationResult(
                 request,
                 AggregationStatus.SELECTION_FAILED,
                 composed=composed,
@@ -264,12 +251,12 @@ class BaseAggregator:
                 self.telemetry.metrics.counter(
                     "session.admission_rejected"
                 ).inc()
-            return self._trace(AggregationResult(
+            return self._publish(AggregationResult(
                 request, status, composed=composed, peers=peers,
                 lookup_hops=hops, random_fallbacks=self._fallbacks,
             ))
 
-        return self._trace(AggregationResult(
+        return self._publish(AggregationResult(
             request,
             AggregationStatus.ADMITTED,
             session=session,
@@ -284,14 +271,11 @@ class QSAAggregator(BaseAggregator):
     """The paper's algorithm: QCS composition + Φ/uptime peer selection."""
 
     name = "qsa"
-    #: Size caps for the composition memos (insertion-order eviction,
-    #: enforced between compositions so the edge loop stays a plain dict).
-    EDGE_CACHE_CAP = 1 << 16
-    COST_CACHE_CAP = 1 << 16
-    #: Composition-memo fast path (synced with ``GridConfig.fast_paths``
-    #: by the grid factory).  Off: every composition rebuilds edges and
-    #: costs from scratch -- the memo-free ground truth the exactness
-    #: contract (docs/performance.md) is checked against.
+    #: Composition fast path (synced with ``GridConfig.fast_paths`` by
+    #: the grid factory).  On: the vectorized kernel with its incremental
+    #: index and plan cache.  Off: the memo-free reference DP -- the
+    #: ground truth the exactness contract (docs/performance.md) is
+    #: checked against.
     fast_paths = True
 
     def __init__(
@@ -305,39 +289,16 @@ class QSAAggregator(BaseAggregator):
         phi_weights: PhiWeights,
         rng: np.random.Generator,
         uptime_filter: bool = True,
-        composition_method: str = "vectorized",
     ) -> None:
         super().__init__(compiler, registry, directory, ledger, rng)
         self.probing = probing
         self.composition_weights = composition_weights
-        if composition_method not in ("vectorized", "dp", "dijkstra"):
-            raise ValueError(
-                f"unknown composition method {composition_method!r} "
-                "(vectorized/dp/dijkstra)"
-            )
-        self.composition_method = composition_method
-        # The vectorized kernel's incremental index + plan cache; only
-        # consulted with fast_paths on (off falls back to the memo-free
-        # reference kernel, the exactness ground truth).
-        self._vec: Optional[VectorizedComposer] = (
-            VectorizedComposer(composition_weights)
-            if composition_method == "vectorized"
-            else None
-        )
+        #: The vectorized QCS kernel (incremental consistency index +
+        #: plan cache); ``composer.plan_stats`` counts plan reuse.
+        self.composer = VectorizedComposer(composition_weights)
         self.selector = PeerSelector(
             probing, phi_weights, uptime_filter=uptime_filter
         )
-        # Instance-pair consistency and edge costs are catalog-immutable;
-        # memoizing them across requests removes the dominant cost of
-        # graph construction (profiling notes in DESIGN.md).  Both memos
-        # are bounded: compose() trims them to the *_CACHE_CAP sizes.
-        self._edge_cache: Dict[Tuple[str, str], bool] = {}
-        self._cost_cache: Dict[str, Tuple] = {}
-        # Whole adjacency rows keyed (instance_id, predecessor service):
-        # service records are immutable after populate, so a row is valid
-        # for the life of the catalog (see ConsistencyGraph).
-        self._row_cache: Dict[Tuple[str, str], list] = {}
-        self.edge_cache_stats = CacheStats()
 
     def compose(
         self,
@@ -347,66 +308,17 @@ class QSAAggregator(BaseAggregator):
         request: UserRequest,
     ) -> ComposedPath:
         if not self.fast_paths:
-            # Memo-free ground truth.  The vectorized kernel is itself a
-            # fast path (incremental index + plan cache), so it degrades
-            # to the exact-equivalent reference DP here.
-            method = self.composition_method
             return compose_qcs(
                 path,
                 candidates,
                 user_qos,
                 self.composition_weights,
-                method="dp" if method == "vectorized" else method,
+                method="dp",
                 telemetry=self.telemetry,
             )
-        if self._vec is not None:
-            return self._compose_vectorized(path, candidates, user_qos)
-        edge_cache = self._edge_cache
-        before = len(edge_cache)
-        composed = compose_qcs(
-            path,
-            candidates,
-            user_qos,
-            self.composition_weights,
-            method=self.composition_method,
-            edge_cache=edge_cache,
-            cost_cache=self._cost_cache,
-            row_cache=self._row_cache,
-            telemetry=self.telemetry,
-        )
-        # Hit/miss accounting via cache growth -- misses are exactly the
-        # pairs memoized during this build, hits the remaining non-sink
-        # pair checks -- so the edge loop itself stays uninstrumented.
-        sizes = [len(candidates.get(s) or ()) for s in path.reversed()]
-        pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        misses = len(edge_cache) - before
-        stats = self.edge_cache_stats
-        stats.misses += misses
-        stats.hits += pairs - misses
-        tel = self.telemetry
-        if tel is not None:
-            m = tel.metrics
-            if pairs > misses:
-                m.counter("cache.qcs_edge.hits").inc(pairs - misses)
-            if misses:
-                m.counter("cache.qcs_edge.misses").inc(misses)
-        trim_mapping(edge_cache, self.EDGE_CACHE_CAP)
-        trim_mapping(self._cost_cache, self.COST_CACHE_CAP)
-        trim_mapping(self._row_cache, self.EDGE_CACHE_CAP)
-        return composed
-
-    def _compose_vectorized(
-        self,
-        path: AbstractServicePath,
-        candidates: Dict[str, Tuple[ServiceInstance, ...]],
-        user_qos: QoSVector,
-    ) -> ComposedPath:
-        """The numpy kernel (composition_vec), plan-cache accounting only."""
-        vec = self._vec
-        assert vec is not None
-        stats = vec.plan_stats
+        stats = self.composer.plan_stats
         before_hits, before_misses = stats.hits, stats.misses
-        composed = vec.compose(
+        composed = self.composer.compose(
             path, candidates, user_qos, telemetry=self.telemetry
         )
         tel = self.telemetry

@@ -37,11 +37,6 @@ notation (``V`` candidate instances overall, ``K`` candidates for the
 source service).
 """
 
-# lint: disable-file=CACHE001 -- the edge/cost/row memos here are injected
-# by QSAAggregator.compose, which owns the fast_paths gate (and falls back
-# to memo-free composition when it is off); this module never constructs
-# or toggles a cache itself.
-
 from __future__ import annotations
 
 import heapq
@@ -122,31 +117,16 @@ class ConsistencyGraph:
         candidates: Mapping[str, Sequence[ServiceInstance]],
         user_qos: QoSVector,
         weights: WeightProfile,
-        edge_cache: Optional[Dict[Tuple[str, str], bool]] = None,
-        cost_cache: Optional[Dict[str, Tuple[float, ResourceTuple]]] = None,
-        row_cache: Optional[Dict[Tuple[str, str], list]] = None,
     ) -> None:
-        """``edge_cache``/``cost_cache`` memoize instance-pair consistency
-        and per-instance edge costs across requests -- both are immutable
-        properties of the catalog, and graph construction dominates the
-        composition profile without them.  ``row_cache`` memoizes whole
-        adjacency rows ``(instance_id, predecessor service) -> out list``:
-        service records never change after catalog populate, so a row is
-        stable for the life of the catalog (rows are shared read-only
-        across graphs -- consumers must not mutate them).  Pass dicts
-        owned by the aggregator (caches must not outlive the catalog they
-        describe).
-        """
         self.path = path
         self.user_qos = user_qos
         self.weights = weights
-        self._edge_cache = edge_cache
-        self._cost_cache = cost_cache if cost_cache is not None else {}
-        self._row_cache = row_cache
+        # Edge cost per predecessor instance, computed once per graph (an
+        # instance is the predecessor of every node in the layer above).
+        self._costs: Dict[str, Tuple[float, ResourceTuple]] = {}
         #: layers[k] for k >= 1: candidate instances of the k-th service
         #: from the user side.  layers[0] is a placeholder for the sink.
         self.layers: List[List[ServiceInstance]] = [[]]
-        self._services_rev: List[Optional[str]] = [None]
         for service in path.reversed():
             cands = list(candidates.get(service, ()))
             if not cands:
@@ -154,7 +134,6 @@ class ConsistencyGraph:
                     f"no candidate instances discovered for service {service!r}"
                 )
             self.layers.append(cands)
-            self._services_rev.append(service)
         self.n_layers = len(self.layers)  # sink layer + one per service
         # Adjacency: edge from node (k, i) to predecessor (k+1, j).
         self.edges: Dict[Tuple[int, int], List[Tuple[int, float, ResourceTuple]]] = {}
@@ -172,56 +151,25 @@ class ConsistencyGraph:
         return self.layers[layer][index].qin
 
     def _edge_cost(self, pred: ServiceInstance) -> Tuple[float, ResourceTuple]:
-        entry = self._cost_cache.get(pred.instance_id)
+        entry = self._costs.get(pred.instance_id)
         if entry is None:
             cost = ResourceTuple(pred.resources, pred.bandwidth)
             entry = (self.weights.score(cost), cost)
-            self._cost_cache[pred.instance_id] = entry
+            self._costs[pred.instance_id] = entry
         return entry
 
     def _build(self) -> None:
         """Add every consistency edge; cost = (R_pred, b_pred) per Def. 3.1."""
-        edge_cache = self._edge_cache
-        row_cache = self._row_cache
         for layer in range(0, self.n_layers - 1):
             n_here = 1 if layer == 0 else len(self.layers[layer])
             preds = self.layers[layer + 1]
-            pred_service = self._services_rev[layer + 1]
             for i in range(n_here):
-                if layer == 0:
-                    # Sink edges depend on the per-request user QoS;
-                    # never cached.
-                    qin = self.user_qos
-                    out: List[Tuple[int, float, ResourceTuple]] = []
-                    for j, pred in enumerate(preds):
-                        if satisfies(pred.qout, qin):
-                            score, cost = self._edge_cost(pred)
-                            out.append((j, score, cost))
-                else:
-                    cur = self.layers[layer][i]
-                    row_key = (cur.instance_id, pred_service)
-                    if row_cache is not None:
-                        row = row_cache.get(row_key)
-                        if row is not None:
-                            if row:
-                                self.edges[(layer, i)] = row
-                            continue
-                    qin = cur.qin
-                    out = []
-                    for j, pred in enumerate(preds):
-                        if edge_cache is None:
-                            ok = satisfies(pred.qout, qin)
-                        else:
-                            key = (pred.instance_id, cur.instance_id)
-                            ok = edge_cache.get(key)
-                            if ok is None:
-                                ok = satisfies(pred.qout, qin)
-                                edge_cache[key] = ok
-                        if ok:
-                            score, cost = self._edge_cost(pred)
-                            out.append((j, score, cost))
-                    if row_cache is not None:
-                        row_cache[row_key] = out
+                qin = self._required_qin(layer, i)
+                out: List[Tuple[int, float, ResourceTuple]] = []
+                for j, pred in enumerate(preds):
+                    if satisfies(pred.qout, qin):
+                        score, cost = self._edge_cost(pred)
+                        out.append((j, score, cost))
                 if out:
                     self.edges[(layer, i)] = out
 
@@ -346,9 +294,6 @@ def compose_qcs(
     user_qos: QoSVector,
     weights: WeightProfile,
     method: str = "dp",
-    edge_cache: Optional[Dict[Tuple[str, str], bool]] = None,
-    cost_cache: Optional[Dict[str, Tuple[float, ResourceTuple]]] = None,
-    row_cache: Optional[Dict[Tuple[str, str], list]] = None,
     telemetry: Optional[Any] = None,
 ) -> ComposedPath:
     """Run QCS and return the QoS-consistent, resource-shortest path.
@@ -381,11 +326,7 @@ def compose_qcs(
     tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
     with tracer.span("qcs.compose", application=path.application):
         with tracer.span("qcs.graph_build"):
-            graph = ConsistencyGraph(
-                path, candidates, user_qos, weights,
-                edge_cache=edge_cache, cost_cache=cost_cache,
-                row_cache=row_cache,
-            )
+            graph = ConsistencyGraph(path, candidates, user_qos, weights)
         if telemetry is not None:
             m = telemetry.metrics
             m.counter("qcs.compositions").inc()

@@ -37,8 +37,7 @@ differential tests hold all three kernels to that bar.
 Incremental maintenance
 -----------------------
 :class:`ConsistencyIndex` keys everything by ``instance_id`` (service
-records are immutable after catalog populate -- the same assumption the
-reference row/edge memos rely on).  Each service's instance *universe*
+records are immutable after catalog populate).  Each service's instance *universe*
 carries a generation counter bumped per admission; pair matrices patch
 only the new rows/columns, and the per-``user_qos`` sink rows reuse the
 PR-4 :class:`~repro.lookup.cache.BoundedCache` generation invalidation

@@ -116,14 +116,17 @@ def _run_custom(config: ExperimentConfig, make_aggregator) -> ExperimentResult:
     t0 = time.perf_counter()  # lint: disable=DET001 -- wall_seconds is display-only
     grid = P2PGrid(config.grid)
     aggregator = make_aggregator(grid)
+    # Hand-built aggregators publish request.setup only once connected
+    # to the grid's bus (the grid factory does this for its own).
+    aggregator.bus = grid.telemetry.bus
     metrics = MetricsCollector()
-    grid.on_session_outcome(metrics.on_session)
+    metrics.attach(grid.telemetry.bus)
     generator = RequestGenerator(
         grid.sim,
         config.workload,
         grid.applications,
         alive_peer_ids=lambda: grid.directory.alive_ids,
-        sink=lambda req: metrics.on_setup(aggregator.aggregate(req)),
+        sink=aggregator.aggregate,
         rng=grid.rngs.stream("workload"),
     )
     generator.start()

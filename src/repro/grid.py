@@ -55,7 +55,6 @@ from repro.sessions.recovery import RecoveryConfig, RecoveryManager
 from repro.sessions.session import Session, SessionLedger
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 from repro.telemetry import Telemetry
 
 __all__ = ["GridConfig", "P2PGrid"]
@@ -106,11 +105,6 @@ class GridConfig:
     #: explicit ``applications=`` argument to :class:`P2PGrid` overrides
     #: both.
     applications: Optional[Tuple[ApplicationTemplate, ...]] = None
-    #: Structured event tracing (``grid.tracer``); off by default so the
-    #: hot path of large experiments stays allocation-free.
-    tracing: bool = False
-    #: Retain at most this many trace events (None = unbounded).
-    trace_capacity: Optional[int] = 100_000
     #: Full telemetry (``grid.telemetry``): event-bus recording, the
     #: metrics registry and span tracing across every subsystem.  Off by
     #: default -- the bus then runs dispatch-only (request/session events
@@ -126,16 +120,6 @@ class GridConfig:
     #: differential test); off trades wall-clock speed for simpler
     #: debugging.  See docs/performance.md.
     fast_paths: bool = True
-    #: QCS composition kernel for the ``qsa`` aggregator:
-    #: ``"vectorized"`` (numpy candidate matrices + incremental
-    #: consistency index, see repro.core.composition_vec), ``"dp"``
-    #: (reference layered-DAG sweep) or ``"dijkstra"`` (the paper's
-    #: formulation).  All three are exact-equivalent (bit-identical
-    #: paths, scores and telemetry -- proven by
-    #: tests/core/test_composition_equivalence.py); the vectorized
-    #: kernel additionally requires ``fast_paths`` and degrades to the
-    #: reference DP when the gate is off.
-    composition_kernel: str = "vectorized"
     #: Peer-state representation: ``"soa"`` (struct-of-arrays
     #: :class:`repro.network.soa.PeerStore` -- contiguous numpy state
     #: matrices driving vectorized selection/probing/admission planes)
@@ -169,11 +153,6 @@ class GridConfig:
         lo, hi = self.capacity_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad capacity range ({lo}, {hi})")
-        if self.composition_kernel not in ("vectorized", "dp", "dijkstra"):
-            raise ValueError(
-                f"unknown composition kernel {self.composition_kernel!r} "
-                "(vectorized/dp/dijkstra)"
-            )
         if self.peer_state_backend not in ("soa", "object"):
             raise ValueError(
                 f"unknown peer state backend {self.peer_state_backend!r} "
@@ -254,13 +233,6 @@ class P2PGrid:
         self.registry = ServiceRegistry(self.ring, self.catalog)
         self.registry.fast_paths = config.fast_paths
 
-        # -- tracing -----------------------------------------------------------
-        self.tracer = (
-            Tracer.for_simulator(self.sim, config.trace_capacity)
-            if config.tracing
-            else None
-        )
-
         # -- telemetry ---------------------------------------------------------
         #: Always present: the bus carries the request/session events the
         #: metrics layer subscribes to.  Hot-path instrumentation sites
@@ -302,7 +274,6 @@ class P2PGrid:
             self.directory,
             self.network,
             self._on_session_outcome,
-            tracer=self.tracer,
             telemetry=_tel,
             injector=self.injector,
             admission_retry=config.admission_retry,
@@ -371,14 +342,10 @@ class P2PGrid:
         self.registry.peer_joined(
             peer.peer_id, self.catalog.hosted_instances(peer.peer_id)
         )
-        if self.tracer is not None:
-            self.tracer.emit("peer-arrived", peer=peer.peer_id)
         return peer
 
     def _on_peer_departure(self, peer_id: int) -> None:
         """Departure: fail/repair sessions, clean replicas/registry/probing."""
-        if self.tracer is not None:
-            self.tracer.emit("peer-departed", peer=peer_id)
         if self.injector is not None:
             # stale_state faults: the departed peer's soft state may
             # linger in observers' tables (decided before cleanup runs).
@@ -438,13 +405,12 @@ class P2PGrid:
     def make_aggregator(self, name: str, **options) -> BaseAggregator:
         """Build one of the §4.1 algorithms: ``qsa``, ``random``, ``fixed``.
 
-        ``qsa`` accepts ``uptime_filter`` (bool) and ``composition_method``
-        (``"dp"``/``"dijkstra"``) keyword options for the ablations.
+        ``qsa`` accepts ``uptime_filter`` (bool) and ``phi_weights``
+        keyword options for the ablations.
         """
         rng = self.rngs.stream(f"aggregator-{name}")
         aggregator = self._build_aggregator(name, rng, options)
         aggregator.fast_paths = self.config.fast_paths
-        aggregator.tracer = self.tracer
         aggregator.bus = self.telemetry.bus
         _tel = self.telemetry if self.config.telemetry else None
         aggregator.telemetry = _tel
@@ -465,9 +431,6 @@ class P2PGrid:
                 options.pop("phi_weights", self.phi_weights),
                 rng,
                 uptime_filter=options.pop("uptime_filter", True),
-                composition_method=options.pop(
-                    "composition_method", self.config.composition_kernel
-                ),
             )
         if name == "random":
             return RandomAggregator(

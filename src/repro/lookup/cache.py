@@ -10,10 +10,10 @@ keeping the *simulated* semantics byte-identical:
   whose generation does not match the ring's is cleared wholesale before
   use, so no entry can survive a membership change.
 * :class:`CacheStats` -- plain hit/miss counters shared by every cache
-  site (route memo, record cache, QCS edge cache).
+  site (route memo, record cache, QCS plan cache).
 * :func:`trim_mapping` -- cap an ordinary dict used as an insertion-
-  ordered memo (the QCS edge/cost caches keep their zero-overhead plain
-  dict hot loops; the cap is enforced between compositions).
+  ordered memo (its hot loop stays a zero-overhead plain dict; the cap
+  is enforced between uses).
 
 None of these draw RNG, advance the simulator or emit bus events --
 instrumentation is metrics-counters only, so a cached run's telemetry
@@ -120,9 +120,9 @@ class BoundedCache:
 def trim_mapping(mapping: Dict, cap: int) -> int:
     """Evict oldest-inserted entries of a plain-dict memo down to ``cap``.
 
-    Returns the number of evictions.  Used for the QCS edge/cost caches,
-    whose hot loops stay plain ``dict.get``/``[]=`` -- the cap is
-    enforced once per composition instead of per access.
+    Returns the number of evictions.  For memos whose hot loops stay
+    plain ``dict.get``/``[]=`` -- the cap is enforced once per batch of
+    accesses instead of per access.
     """
     overflow = len(mapping) - cap
     if overflow <= 0:

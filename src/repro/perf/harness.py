@@ -253,9 +253,11 @@ def _scenario_record(description: str, config, result, report) -> Dict:
         "n_admitted": result.n_admitted,
         # Additive: the QCS kernel's share of the run, from the
         # wall-span mirror -- the BENCH_3 speedup evidence compares
-        # this block across composition kernels.
+        # this block across composition kernels.  The qsa aggregator
+        # runs the vectorized kernel with the fast paths on and the
+        # memo-free reference DP with them off.
         "compose_kernel": {
-            "kernel": config.grid.composition_kernel,
+            "kernel": "vectorized" if config.grid.fast_paths else "dp",
             "compositions": len(compose_spans),
             "wall_seconds": compose_wall,
             "per_sec": (

@@ -397,7 +397,8 @@ class GridRuntime:
         grid = self.grid
         ledger = grid.ledger
         churn = grid.churn
-        stats = getattr(self.aggregator, "edge_cache_stats", None)
+        composer = getattr(self.aggregator, "composer", None)
+        plans = composer.plan_stats if composer is not None else None
         return {
             "service": build_descriptor(),
             "api": SERVE_API_VERSION,
@@ -448,8 +449,8 @@ class GridRuntime:
                 "fast_paths": grid.config.fast_paths,
                 "discovery_routed": grid.registry.n_routed_discoveries,
                 "discovery_cached": grid.registry.n_cached_discoveries,
-                "qcs_edge_hits": stats.hits if stats is not None else 0,
-                "qcs_edge_misses": stats.misses if stats is not None else 0,
+                "qcs_plan_hits": plans.hits if plans is not None else 0,
+                "qcs_plan_misses": plans.misses if plans is not None else 0,
             },
             "process": {"rss_kb": _rss_kb()},
             "slo_state": (

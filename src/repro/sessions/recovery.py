@@ -224,7 +224,6 @@ class RecoveryManager:
             self._give_up(session_id, dead_peer)
             return
         self._transient.pop(session_id, None)
-        old_peers = tuple(session.peers)
         self.ledger.reassign_session_peers(session_id, new_peers)
         self.n_repairs += 1
         if self.telemetry is not None:
@@ -236,14 +235,6 @@ class RecoveryManager:
                 session_id=session_id,
                 dead_peer=dead_peer,
                 latency=latency,
-            )
-        if self.ledger.tracer is not None:
-            self.ledger.tracer.emit(
-                "session-repaired",
-                session_id=session_id,
-                dead_peer=dead_peer,
-                old_peers=old_peers,
-                new_peers=new_peers,
             )
 
     def _select_replacements(

@@ -119,8 +119,6 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "cache.route.misses": ("counter", "ring lookups that walked the overlay"),
     "cache.record.hits": ("counter", "registry reads served from the record cache"),
     "cache.record.misses": ("counter", "registry reads that routed to the DHT"),
-    "cache.qcs_edge.hits": ("counter", "QCS consistency edges reused across compositions"),
-    "cache.qcs_edge.misses": ("counter", "QCS consistency edges computed fresh"),
     "cache.qcs_plan.hits": ("counter", "vectorized-QCS composition plans reused"),
     "cache.qcs_plan.misses": ("counter", "vectorized-QCS composition plans sliced fresh"),
     "discovery.routed": ("counter", "discoveries that paid a routed walk"),

@@ -1,14 +1,8 @@
-"""Tests for the composition memoization (edge/cost caches).
-
-The caches are a pure optimization; these tests pin that cached and
-uncached composition are indistinguishable, including across repeated
-requests with different user requirements.
-"""
+"""Tests for the consistency graph's size statistics."""
 
 import numpy as np
-import pytest
 
-from repro.core.composition import ConsistencyGraph, compose_qcs
+from repro.core.composition import ConsistencyGraph
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
@@ -44,58 +38,6 @@ USERS = [
     QoSVector(format="final", quality=Interval(2, 3)),
     QoSVector(format="final", quality=Interval(3, 3)),
 ]
-
-
-class TestCacheEquivalence:
-    def test_cached_equals_uncached_across_requirements(self):
-        path, cat = make_catalog()
-        edge_cache, cost_cache = {}, {}
-        for user in USERS * 3:  # repeats exercise warm-cache paths
-            try:
-                plain = compose_qcs(path, cat, user, WEIGHTS)
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    compose_qcs(path, cat, user, WEIGHTS,
-                                edge_cache=edge_cache, cost_cache=cost_cache)
-                continue
-            cached = compose_qcs(path, cat, user, WEIGHTS,
-                                 edge_cache=edge_cache, cost_cache=cost_cache)
-            assert [i.instance_id for i in plain.instances] == [
-                i.instance_id for i in cached.instances
-            ]
-            assert np.isclose(plain.score, cached.score)
-
-    def test_cache_fills_once_and_is_reused(self):
-        path, cat = make_catalog()
-        edge_cache, cost_cache = {}, {}
-        compose_qcs(path, cat, USERS[0], WEIGHTS,
-                    edge_cache=edge_cache, cost_cache=cost_cache)
-        edges_after_first = len(edge_cache)
-        costs_after_first = len(cost_cache)
-        assert edges_after_first > 0 and costs_after_first > 0
-        compose_qcs(path, cat, USERS[1], WEIGHTS,
-                    edge_cache=edge_cache, cost_cache=cost_cache)
-        # Interior edges are identical across user requirements:
-        # nothing new to learn.
-        assert len(edge_cache) == edges_after_first
-
-    def test_sink_edges_never_cached(self):
-        """Different users get different sink consistency: a strict user
-        must not see a permissive user's cached sink edges."""
-        path, cat = make_catalog(seed=4)
-        edge_cache, cost_cache = {}, {}
-        loose = compose_qcs(path, cat, USERS[0], WEIGHTS,
-                            edge_cache=edge_cache, cost_cache=cost_cache)
-        # The strict requirement may or may not be satisfiable, but its
-        # graph must be built against Interval(3,3), not the cached loose
-        # edges.
-        g = ConsistencyGraph(path, cat, USERS[2], WEIGHTS,
-                             edge_cache=edge_cache, cost_cache=cost_cache)
-        for (_j, _s, _t) in g.edges.get((0, 0), []):
-            pass  # constructing at all without KeyErrors is the check
-        for j, _score, _t in g.edges.get((0, 0), []):
-            inst = g.layers[1][j]
-            assert inst.qout["quality"] == 3
 
 
 class TestGraphStats:

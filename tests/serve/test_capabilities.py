@@ -18,8 +18,6 @@ class TestDescriptor:
         assert desc["scenarios"] == sorted(SCENARIOS)
         assert "serving" in desc["scenarios"]
         assert set(desc["algorithms"]) == {"qsa", "random", "fixed"}
-        assert desc["composition_kernels"] == ["dijkstra", "dp", "vectorized"]
-        assert desc["composition_kernel_default"] in desc["composition_kernels"]
         assert set(desc["lookup_protocols"]) == {"chord", "can"}
 
     def test_descriptor_is_json_able(self):

@@ -146,6 +146,15 @@ class TestStatusAndMetrics:
         )
         assert "discovery_routed" in st["caches"]
 
+    def test_status_reports_qcs_plan_reuse(self, client):
+        # Same application, level and peer: every compose after the
+        # first reuses the vectorized kernel's composition plan.
+        for _ in range(4):
+            client.compose(APP, duration=0.5, peer_id=0)
+        caches = client.status()["caches"]
+        assert caches["qcs_plan_hits"] > 0
+        assert caches["qcs_plan_misses"] > 0
+
     def test_status_embeds_the_capability_descriptor(self, client):
         # Satellite contract: `repro info` and GET /status share one
         # build/capability descriptor.

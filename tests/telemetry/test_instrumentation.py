@@ -72,6 +72,21 @@ class TestEnabledGrid:
         assert counters["churn.departures"] == churn.n_departures
         assert counters["probe.messages_sent"] == traced_grid.probing.probe_messages
 
+    def test_lifecycle_events_match_subsystem_state(self, traced_grid):
+        counts = traced_grid.telemetry.bus.counts()
+        assert counts["request.setup"] == 15 * 3  # one per aggregate()
+        ledger = traced_grid.ledger
+        assert counts["session.admitted"] == ledger.n_admitted
+        assert counts["session.completed"] == ledger.n_completed
+        assert counts.get("session.failed", 0) == ledger.n_failed
+        churn = traced_grid.churn
+        assert counts["churn.join"] == churn.n_arrivals
+        assert counts["churn.leave"] == churn.n_departures
+        recovery = traced_grid.recovery
+        assert recovery.n_repairs > 0
+        assert counts["recovery.repaired"] == recovery.n_repairs
+        assert counts.get("recovery.failed", 0) == recovery.n_repair_failures
+
     def test_lookup_histogram_matches_ring(self, traced_grid):
         hist = traced_grid.telemetry.metrics.histogram("lookup.hops")
         assert hist.count == traced_grid.ring.n_lookups

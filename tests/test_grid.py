@@ -93,10 +93,8 @@ class TestAggregatorFactory:
             grid.make_aggregator("bogus")
 
     def test_qsa_options(self, grid):
-        agg = grid.make_aggregator("qsa", uptime_filter=False,
-                                   composition_method="dijkstra")
+        agg = grid.make_aggregator("qsa", uptime_filter=False)
         assert not agg.selector.uptime_filter
-        assert agg.composition_method == "dijkstra"
 
 
 class TestChurnIntegration:
