@@ -11,8 +11,10 @@ Each row pins one seeded end-to-end run by four observables:
   session write.
 
 The rows are the ``repro perf`` in-process scenarios at seed 0, one
-faulted run under churn, and the ``fast_paths=False`` reference run of
-the baseline scenario (memo-free discovery and composition).  A change
+faulted run under churn, the ``fast_paths=False`` reference run of
+the baseline scenario (memo-free discovery and composition), and a
+short paper-scale run (10^4 peers, M = 100, 200 peers/min churn) --
+the only row where neighbor tables run full at the paper's budget.  A change
 that deletes or replaces a code path keeps every row; a change that
 moves a row must say why and is a behaviour change, not a refactor.
 
@@ -27,8 +29,11 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.perf.harness import SCENARIOS
+from repro.probing.prober import ProbingConfig
+from repro.workload.generator import WorkloadConfig
 
 FAULTED_PLAN = FaultPlan((
     FaultSpec(kind="probe_loss", rate=0.3),
@@ -54,6 +59,20 @@ def _reference_baseline(seed: int) -> ExperimentConfig:
     return replace(config, grid=replace(config.grid, fast_paths=False))
 
 
+def _paper_churn_3min(seed: int) -> ExperimentConfig:
+    # The paper's §4.1 point (10^4 peers, M = 100, 100 req/min) under
+    # Fig. 7's heaviest churn, cut to a 3-minute request horizon.
+    return ExperimentConfig(
+        grid=GridConfig(
+            n_peers=10_000,
+            probing=ProbingConfig(budget=100),
+            churn=ChurnConfig(rate_per_min=200.0),
+            seed=seed,
+        ),
+        workload=WorkloadConfig(rate_per_min=100.0, horizon=3.0),
+    )
+
+
 CONFIGS = {
     "smoke": SCENARIOS["smoke"].make,
     "baseline": SCENARIOS["baseline"].make,
@@ -62,6 +81,7 @@ CONFIGS = {
     "compose-stress": SCENARIOS["compose-stress"].make,
     "faulted-churn": _faulted_churn,
     "baseline-reference": _reference_baseline,
+    "paper-churn-3min": _paper_churn_3min,
 }
 
 #: row -> (n_requests, ψ to 6 dp, telemetry JSONL blake2b-16,
@@ -96,6 +116,11 @@ GOLDENS = {
         774, 0.885013,
         "8c862a5c9fd9d01ace2b4890bc40b27c",
         "11c067e2a4f3cb7ee8957ee9d9a99872",
+    ),
+    "paper-churn-3min": (
+        271, 0.601476,
+        "5f68ba9a9d74b7cf5418daed63b6dea1",
+        "6cd36ad78ad6afc91d342def77fab30c",
     ),
     "smoke": (
         271, 0.885609,
