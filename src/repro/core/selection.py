@@ -336,7 +336,10 @@ class PeerSelector:
 
         observe_block = getattr(self.view, "observe_block", None)
         if observe_block is not None:
-            block = observe_block(selecting_peer, candidates)
+            block = observe_block(
+                selecting_peer, candidates,
+                latency=self.weights.latency_weight > 0,
+            )
             if block is not None:
                 return self._select_hop_block(
                     candidates, requirement, bandwidth_req,
@@ -422,13 +425,15 @@ class PeerSelector:
         bandwidth_req: float,
         session_duration: float,
         rng: np.random.Generator,
-        block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        block: Tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
+        ],
     ) -> SelectionOutcome:
         """One selection step over an ``observe_block`` array view.
 
         Replicates every branch, filter, RNG draw and Φ evaluation of the
-        per-PeerInfo path bit-for-bit: the uptime/covers/β filters become
-        masked reductions over the block, the Φ ranking a single
+        per-PeerInfo path bit-for-bit: the uptime/covers/β filters fold
+        into one boolean mask over the block, the Φ ranking is a single
         ``phi_batch`` over the qualified sub-block, and the two random
         fallbacks consume the same ``rng.integers`` draws on the same
         branch conditions.
@@ -440,46 +445,49 @@ class PeerSelector:
             pick = int(rng.integers(n_candidates))
             return SelectionOutcome(candidates[pick], True, n_candidates, 0)
 
-        qual = np.ones(n_known, dtype=bool)
-        if self.uptime_filter:
-            qual &= uptimes >= session_duration
+        req = requirement.values
         if self.feasibility_filter:
-            qual &= (avail >= requirement.values).all(axis=1)
+            qual = (avail >= req).all(axis=1)
             qual &= betas >= bandwidth_req
-        n_qual = int(qual.sum())
+            if self.uptime_filter:
+                qual &= uptimes >= session_duration
+        elif self.uptime_filter:
+            qual = uptimes >= session_duration
+        else:
+            qual = np.ones(n_known, dtype=bool)
+        qidx = np.flatnonzero(qual)
 
         # Positions (in `candidates`) of the known occurrences, aligned
         # with the block arrays.
         kpos = np.flatnonzero(known_mask)
-        if n_qual == 0:
-            known_ids = {candidates[i] for i in kpos}
-            unknown = [pid for pid in candidates if pid not in known_ids]
-            if unknown:
+        if len(qidx) == 0:
+            # Unknown = candidates whose id no known position carries
+            # (set semantics, like the per-PeerInfo path).
+            cand = np.fromiter(candidates, np.int64, n_candidates)
+            unknown = np.flatnonzero(np.isin(cand, cand[kpos], invert=True))
+            if len(unknown):
                 pick = int(rng.integers(len(unknown)))
                 return SelectionOutcome(
-                    unknown[pick], True, n_candidates, n_known
+                    candidates[unknown[pick]], True, n_candidates, n_known
                 )
-            qual[:] = True
-            n_qual = n_known
+            qidx = np.arange(n_known)
 
-        if n_qual == 1:
-            j = int(np.argmax(qual))
+        if len(qidx) == 1:
+            j = int(qidx[0])
             availability = ResourceVector.__new__(ResourceVector)
             availability.names = requirement.names
             availability.values = avail[j]
             phi = self.weights.phi(
                 availability, requirement, betas[j], bandwidth_req,
-                latency_ms=latencies[j],
+                latency_ms=latencies[j] if latencies is not None else 0.0,
             )
             return SelectionOutcome(
                 candidates[kpos[j]], False, n_candidates, n_known, phi
             )
 
-        qidx = np.flatnonzero(qual)
         scores = self.weights.phi_batch(
-            avail[qidx], requirement.values, betas[qidx], bandwidth_req,
-            latencies_ms=latencies[qidx]
-            if self.weights.latency_weight > 0 else None,
+            avail[qidx], req, betas[qidx], bandwidth_req,
+            latencies_ms=latencies[qidx] if latencies is not None else None,
         )
         best = int(np.argmax(scores))
         return SelectionOutcome(

@@ -2,9 +2,10 @@
 
 * :mod:`~repro.network.peer` -- heterogeneous peers with end-system
   resource capacity/availability, access-link bandwidth and uptime.
-* :mod:`~repro.network.topology` -- O(1)-memory pairwise bottleneck
-  bandwidth / latency classes and end-to-end available-bandwidth
-  computation with reservation accounting.
+* :mod:`~repro.network.topology` -- hash-derived pairwise bottleneck
+  bandwidth / latency classes (capacity memoized up to a fixed cap)
+  and end-to-end available-bandwidth computation with reservation
+  accounting.
 * :mod:`~repro.network.churn` -- arbitrary peer arrivals/departures
   ("topological variation"), with heavy-tail-flavoured departure
   selection so that uptime is an honest predictor of longevity

@@ -136,12 +136,18 @@ class TestNetworkModel:
         net.release(0, 1, 100.0)  # must not raise
         assert net.n_reserved_pairs == 0
 
-    def test_available_bandwidth_batch(self):
-        d, net = make_net(n=6)
-        sources = np.array([0, 1, 2])
-        batch = net.available_bandwidth_batch(sources, dst=5)
-        for i, src in enumerate(sources):
-            assert batch[i] == net.available_bandwidth(int(src), 5)
+    def test_block_calls_match_scalar(self):
+        d, net = make_net(n=8)
+        assert net.reserve(0, 5, 2000.0)
+        assert net.reserve(5, 3, 500.0)
+        targets = np.array([0, 1, 3, 5, 0, 7])
+        caps = net.pair_capacities(targets, 5)
+        resv = net.pair_reservations(targets, 5)
+        for i, t in enumerate(targets.tolist()):
+            assert caps[i] == net.pair_capacity(t, 5)
+            assert resv[i] == net.pair_reserved(t, 5)
+        assert caps[3] == float("inf")  # self pair
+        assert resv.tolist() == [2000.0, 0.0, 500.0, 0.0, 2000.0, 0.0]
 
     def test_access_capacity_bounds_total_flows(self):
         d, net = make_net(access=1000.0)
@@ -152,3 +158,47 @@ class TestNetworkModel:
                 total += 300.0
         assert total <= 1000.0
         assert d[0].avail_up == pytest.approx(1000.0 - total)
+
+
+#: (a, b, capacity, latency) at seeds 0 and 7, recorded before the pair
+#: memos were reworked; the hash itself must never move (it feeds ψ and
+#: every golden digest).
+PINNED_PAIRS = {
+    0: [
+        (0, 1, 100e3, 20.0), (1, 0, 100e3, 20.0), (5, 9, 100e3, 1.0),
+        (17, 3, 10e6, 20.0), (123, 4567, 10e6, 1.0), (4567, 123, 10e6, 1.0),
+        (9999, 0, 10e6, 150.0), (2048, 8191, 100e3, 20.0),
+        (42, 42, float("inf"), 0.0), (31, 7777, 10e6, 20.0),
+    ],
+    7: [
+        (0, 1, 10e6, 200.0), (1, 0, 10e6, 200.0), (5, 9, 500e3, 20.0),
+        (17, 3, 500e3, 80.0), (123, 4567, 10e6, 20.0), (4567, 123, 10e6, 20.0),
+        (9999, 0, 10e6, 150.0), (2048, 8191, 10e6, 1.0),
+        (42, 42, float("inf"), 0.0), (31, 7777, 10e6, 200.0),
+    ],
+}
+
+
+class TestPinnedPairClasses:
+    @pytest.mark.parametrize("seed", sorted(PINNED_PAIRS))
+    def test_scalar_values_pinned(self, seed):
+        net = NetworkModel(PeerDirectory(NAMES), seed=seed)
+        for a, b, cap, lat in PINNED_PAIRS[seed]:
+            assert net.pair_capacity(a, b) == cap
+            assert net.latency_ms(a, b) == lat
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_PAIRS))
+    def test_latency_first_and_block_values_pinned(self, seed):
+        # Latency is hashed lazily and never memoized: reading it first,
+        # twice, or after the capacity memo has filled must not matter.
+        net = NetworkModel(PeerDirectory(NAMES), seed=seed)
+        rows = PINNED_PAIRS[seed]
+        assert [net.latency_ms(a, b) for a, b, _, _ in rows] == [
+            lat for _, _, _, lat in rows
+        ]
+        for a, b, cap, lat in rows:
+            got = net.pair_capacities(np.array([a]), b)
+            assert got.tolist() == [cap]
+            assert net.latency_ms(a, b) == lat
+            assert net.pair_capacity(b, a) == cap
+

@@ -16,8 +16,8 @@ from repro.probing.prober import ProbingService
 
 def _table_state(service):
     return {
-        observer: [(pid, e.hop, e.direct, e.expires_at)
-                   for pid, e in tbl._entries.items()]
+        observer: [(e.peer_id, e.hop, e.direct, e.expires_at)
+                   for e in tbl.entries()]
         for observer, tbl in service._tables.items()
     }
 
@@ -62,7 +62,7 @@ def test_observe_many_matches_scalar_observe():
     pids = list(grid.directory.alive_ids)
     for observer in observers:
         targets = ([int(p) for p in rng.choice(pids, size=20)]
-                   + list(prober._tables[observer]._entries)[:10])
+                   + [e.peer_id for e in prober._tables[observer].entries()][:10])
         batched = prober.observe_many(observer, targets)
         scalar = [prober.observe(observer, t) for t in targets]
         assert len(batched) == len(scalar)
