@@ -92,8 +92,8 @@ soak:
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --soak $(SOAK_ARGS)
 
 # The runtime determinism contract (docs/static-analysis.md): same-seed
-# and object-vs-soa runs must export byte-identical draw/write ledgers,
-# and arming the sanitizer must cost < 10% wall with telemetry unchanged.
+# runs must export byte-identical draw/write ledgers, and arming the
+# sanitizer must cost < 10% wall with telemetry unchanged.
 sanitize:
 	@tmp=$$(mktemp -d /tmp/sanitize.XXXXXX); \
 	trap 'rm -rf $$tmp' EXIT; \
@@ -103,9 +103,6 @@ sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro run --rate 100 --horizon 10 \
 		--churn 25 --seed 0 --sanitize $$tmp/b.jsonl >/dev/null; \
 	PYTHONPATH=src $(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/b.jsonl; \
-	PYTHONPATH=src $(PYTHON) -m repro run --rate 100 --horizon 10 \
-		--churn 25 --seed 0 --backend object --sanitize $$tmp/obj.jsonl >/dev/null; \
-	PYTHONPATH=src $(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/obj.jsonl; \
 	PYTHONPATH=src $(PYTHON) -m repro sanitize overhead --rate 100 \
 		--horizon 20 --seed 0 --repeat 3
 

@@ -1,11 +1,7 @@
-"""Struct-of-arrays peer-state core: backend shoot-out and scale probes.
+"""Struct-of-arrays peer-state core: scale probes.
 
-Three claims from the SoA PR:
+Two claims:
 
-* **exactness** -- the ``soa`` and ``object`` backends produce
-  identical ψ / lookup hops / admissions per seed (the representation
-  is unobservable; tests/perf/test_soa_differential.py proves the
-  stronger byte-identical-telemetry property);
 * **paper scale** -- the 10^4-peer population of §4.1 runs end to end
   in seconds, with the store's array footprint in the megabytes;
 * **beyond paper scale** -- a 10^5-peer grid constructs and serves a
@@ -23,19 +19,18 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.reporting import banner, format_sweep_table
+from repro.experiments.reporting import banner
 from repro.grid import GridConfig
 from repro.probing.prober import ProbingConfig
 from repro.workload.generator import WorkloadConfig
 
 
-def _config(n_peers, backend="soa", rate_per_min=60.0, horizon=8.0, seed=0):
+def _config(n_peers, rate_per_min=60.0, horizon=8.0, seed=0):
     return ExperimentConfig(
         grid=GridConfig(
             n_peers=n_peers,
             probing=ProbingConfig(budget=max(10, n_peers // 100)),
             seed=seed,
-            peer_state_backend=backend,
         ),
         workload=WorkloadConfig(
             rate_per_min=rate_per_min, horizon=horizon,
@@ -52,40 +47,6 @@ def _best_of(config, repeats):
         result = run_experiment(config)
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-@pytest.mark.benchmark(group="claims")
-def test_soa_backend_matches_object_backend(benchmark):
-    def run():
-        out = {}
-        for backend in ("soa", "object"):
-            out[backend] = _best_of(_config(500, backend=backend), repeats=3)
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    (t_soa, soa), (t_obj, obj) = out["soa"], out["object"]
-
-    print()
-    print(banner(
-        "SoA peer-state core -- backend shoot-out",
-        "500 peers, 60 req/min, 8 min horizon; wall seconds best-of-3",
-    ))
-    print(format_sweep_table(
-        "backend", [0],
-        {"soa": [t_soa], "object": [t_obj]},
-        value_format="{:8.3f}",
-    ))
-    print(f"speedup: {t_obj / t_soa:.2f}x  "
-          f"(psi={soa.success_ratio:.4f} both backends)")
-
-    # Exactness: the backend is a representation choice, not a policy.
-    assert soa.success_ratio == obj.success_ratio
-    assert soa.mean_lookup_hops == obj.mean_lookup_hops
-    assert soa.n_admitted == obj.n_admitted
-    assert soa.n_requests == obj.n_requests
-    # Loose wall claim: the array core must not be slower than the
-    # object loop beyond noise.
-    assert t_soa <= 1.5 * t_obj
 
 
 @pytest.mark.benchmark(group="claims")
@@ -120,8 +81,7 @@ def test_beyond_paper_scale_memory_bounded(benchmark):
         t0 = time.perf_counter()
         grid = P2PGrid(_config(100_000).grid)
         construct = time.perf_counter() - t0
-        store = getattr(grid.directory, "store", None)
-        return construct, store.memory_bytes() if store else None
+        return construct, grid.directory.store.memory_bytes()
 
     construct, store_bytes = benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -130,7 +90,6 @@ def test_beyond_paper_scale_memory_bounded(benchmark):
         "SoA peer-state core -- 10^5-peer capacity probe",
         f"construction {construct:.2f}s, store {store_bytes / 1e6:.1f} MB",
     ))
-    assert store_bytes is not None, "scale grids must run the SoA backend"
     # ~11.3 MB at 10^5 rows today; the bound flags accidental per-row
-    # object resurrection (the object directory costs ~100x more).
+    # object resurrection (one Python object per peer costs ~100x more).
     assert store_bytes < 64e6

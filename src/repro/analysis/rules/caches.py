@@ -9,9 +9,8 @@ or RNG draws, which would re-order the deterministic stream.
 Two static approximations of that contract, scoped to ``lookup/``,
 ``probing/`` and ``core/``:
 
-* **gate present** -- a module that builds a :class:`BoundedCache`,
-  calls :func:`trim_mapping`, or touches a ``*cache*``/``*memo*``
-  attribute must reference ``fast_paths`` or ``cache_active``
+* **gate present** -- a module that builds a :class:`BoundedCache` or
+  touches a ``*cache*``/``*memo*`` attribute must reference ``fast_paths`` or ``cache_active``
   somewhere; a cache with no switch cannot honour the contract.
   (Modules whose caches are injected and gated by their *caller* carry
   a justified ``# lint: disable-file=CACHE001`` pragma instead.)
@@ -33,7 +32,7 @@ from repro.analysis.engine import FileContext, Finding
 from repro.analysis.registry import Rule, register
 
 _GUARD_NAMES = frozenset({"fast_paths", "cache_active"})
-_CACHE_CALLS = frozenset({"BoundedCache", "trim_mapping"})
+_CACHE_CALLS = frozenset({"BoundedCache"})
 _CACHE_METHODS = frozenset({"get", "put", "check_generation", "clear", "pop"})
 
 

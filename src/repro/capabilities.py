@@ -45,6 +45,4 @@ def build_descriptor() -> Dict[str, Any]:
         "scenarios": sorted(SCENARIOS),
         "algorithms": ["fixed", "qsa", "random"],
         "lookup_protocols": ["can", "chord"],
-        "peer_state_backends": ["object", "soa"],
-        "peer_state_backend_default": GridConfig().peer_state_backend,
     }

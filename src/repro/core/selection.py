@@ -43,7 +43,15 @@ import numpy as np
 
 from repro.core.resources import ResourceVector
 
-__all__ = ["PeerInfo", "PerformanceView", "PhiWeights", "PeerSelector", "SelectionOutcome"]
+__all__ = [
+    "ObservedBlock",
+    "PeerInfo",
+    "PerformanceView",
+    "PhiWeights",
+    "PeerSelector",
+    "SelectionOutcome",
+    "block_from_infos",
+]
 
 
 @dataclass(frozen=True)
@@ -64,16 +72,52 @@ class PeerInfo:
     latency: float
 
 
+#: What one observer knows about a candidate list, as arrays:
+#: ``(known, avail, betas, uptimes, latencies)``.  ``known`` is a bool
+#: mask over the candidates; the other arrays align with its True
+#: positions (candidate order): ``avail`` is ``(k, m)``, the rest
+#: ``(k,)``.  ``latencies`` may be ``None`` when not requested.
+ObservedBlock = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
+]
+
+
+def block_from_infos(
+    infos: Sequence[Optional[PeerInfo]], m: int
+) -> ObservedBlock:
+    """The :data:`ObservedBlock` of per-candidate :class:`PeerInfo` results.
+
+    ``infos[i]`` is the observer's view of candidate ``i`` (``None`` when
+    unknown); ``m`` is the number of resource dimensions.
+    """
+    known = np.fromiter((info is not None for info in infos), bool, len(infos))
+    hits = [info for info in infos if info is not None]
+    k = len(hits)
+    avail = (
+        np.stack([info.availability.values for info in hits])
+        if hits else np.empty((0, m))
+    )
+    betas = np.fromiter(
+        (info.bandwidth_to_observer for info in hits), np.float64, k
+    )
+    uptimes = np.fromiter((info.uptime for info in hits), np.float64, k)
+    latencies = np.fromiter((info.latency for info in hits), np.float64, k)
+    return known, avail, betas, uptimes, latencies
+
+
 class PerformanceView(Protocol):
     """What a selecting peer knows about other peers.
 
-    Implemented by :class:`repro.probing.prober.ProbingService`; also by
-    simple dict-backed fakes in tests.
+    Implemented by :class:`repro.probing.prober.ProbingService`; test
+    fakes build their blocks with :func:`block_from_infos`.
     """
 
-    def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
-        """The observer's (possibly stale) info about target, or ``None``
-        if the target is outside the observer's probed neighbor set."""
+    def observe_block(
+        self, observer: int, targets: Sequence[int], latency: bool = False
+    ) -> ObservedBlock:
+        """The observer's (possibly stale) view of ``targets``; a target
+        outside the observer's probed neighbor set is unknown.
+        ``latency`` asks for the latencies a latency-aware Φ reads."""
         ...
 
 
@@ -330,118 +374,24 @@ class PeerSelector:
         session_duration: float,
         rng: np.random.Generator,
     ) -> SelectionOutcome:
+        """One selection step over the view's ``observe_block`` arrays.
+
+        The uptime/covers/β filters fold into one boolean mask over the
+        block, the Φ ranking is a single ``phi_batch`` over the qualified
+        sub-block, and the two random fallbacks each draw once from
+        ``rng``.
+        """
         n_candidates = len(candidates)
         if n_candidates == 0:
             return SelectionOutcome(None, False, 0, 0)
-
-        observe_block = getattr(self.view, "observe_block", None)
-        if observe_block is not None:
-            block = observe_block(
-                selecting_peer, candidates,
-                latency=self.weights.latency_weight > 0,
-            )
-            if block is not None:
-                return self._select_hop_block(
-                    candidates, requirement, bandwidth_req,
-                    session_duration, rng, block,
-                )
-
-        known: list[Tuple[int, PeerInfo]] = []
-        observe_many = getattr(self.view, "observe_many", None)
-        if observe_many is not None:
-            for pid, info in zip(candidates, observe_many(selecting_peer, candidates)):
-                if info is not None:
-                    known.append((pid, info))
-        else:
-            for pid in candidates:
-                info = self.view.observe(selecting_peer, pid)
-                if info is not None:
-                    known.append((pid, info))
-
-        if not known:
-            # Random fallback: the selecting peer knows nothing about any
-            # candidate -- pick uniformly at random.
-            pick = int(rng.integers(n_candidates))
-            return SelectionOutcome(candidates[pick], True, n_candidates, 0)
-
-        qualified: list[Tuple[int, PeerInfo]] = []
-        for pid, info in known:
-            if self.uptime_filter and info.uptime < session_duration:
-                continue
-            if self.feasibility_filter and not (
-                info.availability.covers(requirement)
-                and info.bandwidth_to_observer >= bandwidth_req
-            ):
-                continue
-            qualified.append((pid, info))
-
-        if not qualified:
-            # All known candidates were filtered out; fall back to the
-            # unknown candidates at random if any exist, else give up on
-            # the filters and rank every known candidate by Φ (a peer
-            # with the least-bad Φ still beats outright failure).
-            unknown = [pid for pid in candidates if all(pid != k for k, _ in known)]
-            if unknown:
-                pick = int(rng.integers(len(unknown)))
-                return SelectionOutcome(
-                    unknown[pick], True, n_candidates, len(known)
-                )
-            qualified = known
-
-        if len(qualified) == 1:
-            pid, info = qualified[0]
-            phi = self.weights.phi(
-                info.availability, requirement, info.bandwidth_to_observer,
-                bandwidth_req, latency_ms=info.latency,
-            )
-            return SelectionOutcome(pid, False, n_candidates, len(known), phi)
-
-        avail = np.stack([info.availability.values for _, info in qualified])
-        betas = np.fromiter(
-            (info.bandwidth_to_observer for _, info in qualified),
-            dtype=np.float64,
-            count=len(qualified),
+        known_mask, avail, betas, uptimes, latencies = self.view.observe_block(
+            selecting_peer, candidates,
+            latency=self.weights.latency_weight > 0,
         )
-        latencies = None
-        if self.weights.latency_weight > 0:
-            latencies = np.fromiter(
-                (info.latency for _, info in qualified),
-                dtype=np.float64,
-                count=len(qualified),
-            )
-        scores = self.weights.phi_batch(
-            avail, requirement.values, betas, bandwidth_req,
-            latencies_ms=latencies,
-        )
-        best = int(np.argmax(scores))
-        return SelectionOutcome(
-            qualified[best][0], False, n_candidates, len(known), float(scores[best])
-        )
-
-    def _select_hop_block(
-        self,
-        candidates: Sequence[int],
-        requirement: ResourceVector,
-        bandwidth_req: float,
-        session_duration: float,
-        rng: np.random.Generator,
-        block: Tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
-        ],
-    ) -> SelectionOutcome:
-        """One selection step over an ``observe_block`` array view.
-
-        Replicates every branch, filter, RNG draw and Φ evaluation of the
-        per-PeerInfo path bit-for-bit: the uptime/covers/β filters fold
-        into one boolean mask over the block, the Φ ranking is a single
-        ``phi_batch`` over the qualified sub-block, and the two random
-        fallbacks consume the same ``rng.integers`` draws on the same
-        branch conditions.
-        """
-        n_candidates = len(candidates)
-        known_mask, avail, betas, uptimes, latencies = block
         n_known = len(betas)
         if n_known == 0:
+            # Random fallback: the selecting peer knows nothing about any
+            # candidate -- pick uniformly at random.
             pick = int(rng.integers(n_candidates))
             return SelectionOutcome(candidates[pick], True, n_candidates, 0)
 
@@ -461,8 +411,11 @@ class PeerSelector:
         # with the block arrays.
         kpos = np.flatnonzero(known_mask)
         if len(qidx) == 0:
-            # Unknown = candidates whose id no known position carries
-            # (set semantics, like the per-PeerInfo path).
+            # All known candidates were filtered out; fall back to the
+            # unknown candidates (ids no known position carries) at
+            # random if any exist, else give up on the filters and rank
+            # every known candidate by Φ (a peer with the least-bad Φ
+            # still beats outright failure).
             cand = np.fromiter(candidates, np.int64, n_candidates)
             unknown = np.flatnonzero(np.isin(cand, cand[kpos], invert=True))
             if len(unknown):

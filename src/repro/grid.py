@@ -39,8 +39,8 @@ from repro.lookup.can import CanNetwork
 from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.network.churn import ChurnConfig, ChurnProcess
-from repro.network.peer import Peer, PeerDirectory
-from repro.network.soa import SoAPeerDirectory
+from repro.network.peer import PeerDirectory
+from repro.network.soa import PeerRowView
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.services.applications import (
@@ -120,14 +120,6 @@ class GridConfig:
     #: differential test); off trades wall-clock speed for simpler
     #: debugging.  See docs/performance.md.
     fast_paths: bool = True
-    #: Peer-state representation: ``"soa"`` (struct-of-arrays
-    #: :class:`repro.network.soa.PeerStore` -- contiguous numpy state
-    #: matrices driving vectorized selection/probing/admission planes)
-    #: or ``"object"`` (one Python ``Peer`` per host -- the differential
-    #: oracle).  Both produce byte-identical telemetry per seed (proven
-    #: by tests/perf/test_soa_differential.py); ``"soa"`` is the scale
-    #: backend the 10^4..10^5-peer scenarios require.
-    peer_state_backend: str = "soa"
     #: Fault injection plan; ``None`` (or an empty plan) keeps every
     #: substrate operation reliable and the fast paths fault-check-free.
     faults: Optional[FaultPlan] = None
@@ -153,11 +145,6 @@ class GridConfig:
         lo, hi = self.capacity_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad capacity range ({lo}, {hi})")
-        if self.peer_state_backend not in ("soa", "object"):
-            raise ValueError(
-                f"unknown peer state backend {self.peer_state_backend!r} "
-                "(soa/object)"
-            )
 
 
 class P2PGrid:
@@ -188,12 +175,9 @@ class P2PGrid:
         self.translator = AnalyticTranslator(config.resource_names)
 
         # -- peers -------------------------------------------------------
-        if config.peer_state_backend == "soa":
-            self.directory = SoAPeerDirectory(
-                config.resource_names, initial_rows=config.n_peers
-            )
-        else:
-            self.directory = PeerDirectory(config.resource_names)
+        self.directory = PeerDirectory(
+            config.resource_names, initial_rows=config.n_peers
+        )
         self.directory.sanitizer = self.sanitizer
         peer_rng = self.rngs.stream("peers")
         for _ in range(config.n_peers):
@@ -323,7 +307,9 @@ class P2PGrid:
         self._next_request_id = 0
 
     # -- peer lifecycle ----------------------------------------------------------
-    def _spawn_peer_inner(self, joined_at: float, rng: np.random.Generator) -> Peer:
+    def _spawn_peer_inner(
+        self, joined_at: float, rng: np.random.Generator
+    ) -> PeerRowView:
         lo, hi = self.config.capacity_range
         scale = float(rng.uniform(lo, hi))
         capacity = ResourceVector(
@@ -334,7 +320,7 @@ class P2PGrid:
             capacity, self.config.access_capacity, joined_at
         )
 
-    def _spawn_peer_churn(self, now: float) -> Peer:
+    def _spawn_peer_churn(self, now: float) -> PeerRowView:
         """Arrival under churn: resources + replicas + ring membership."""
         rng = self.rngs.stream("churn-arrivals")
         peer = self._spawn_peer_inner(joined_at=now, rng=rng)

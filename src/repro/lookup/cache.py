@@ -11,11 +11,8 @@ keeping the *simulated* semantics byte-identical:
   use, so no entry can survive a membership change.
 * :class:`CacheStats` -- plain hit/miss counters shared by every cache
   site (route memo, record cache, QCS plan cache).
-* :func:`trim_mapping` -- cap an ordinary dict used as an insertion-
-  ordered memo (its hot loop stays a zero-overhead plain dict; the cap
-  is enforced between uses).
 
-None of these draw RNG, advance the simulator or emit bus events --
+Neither of these draw RNG, advance the simulator or emit bus events --
 instrumentation is metrics-counters only, so a cached run's telemetry
 JSONL export stays byte-identical to an uncached one (the differential
 test in ``tests/perf/test_fast_paths.py`` proves it).
@@ -25,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional
 
-__all__ = ["CacheStats", "BoundedCache", "trim_mapping"]
+__all__ = ["CacheStats", "BoundedCache"]
 
 
 class CacheStats:
@@ -116,22 +113,3 @@ class BoundedCache:
     def clear(self) -> None:
         self._data.clear()
 
-
-def trim_mapping(mapping: Dict, cap: int) -> int:
-    """Evict oldest-inserted entries of a plain-dict memo down to ``cap``.
-
-    Returns the number of evictions.  For memos whose hot loops stay
-    plain ``dict.get``/``[]=`` -- the cap is enforced once per batch of
-    accesses instead of per access.
-    """
-    overflow = len(mapping) - cap
-    if overflow <= 0:
-        return 0
-    victims = []
-    for key in mapping:
-        victims.append(key)
-        if len(victims) == overflow:
-            break
-    for key in victims:
-        del mapping[key]
-    return overflow

@@ -25,7 +25,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.network.peer import Peer, PeerDirectory
+from repro.network.peer import PeerDirectory
+from repro.network.soa import PeerRowView
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -71,9 +72,9 @@ class ChurnProcess:
     config:
         Churn parameters.
     spawn_peer:
-        Called to create an arriving peer (returns the new
-        :class:`Peer`); typically provisions resources, catalog replicas
-        and lookup-ring membership.
+        Called to create an arriving peer (returns its
+        :class:`~repro.network.soa.PeerRowView`); typically provisions
+        resources, catalog replicas and lookup-ring membership.
     on_departure:
         Called with the departing peer id *before* the directory marks it
         departed, so session/registry state can be cleaned up.
@@ -86,7 +87,7 @@ class ChurnProcess:
         sim: Simulator,
         directory: PeerDirectory,
         config: ChurnConfig,
-        spawn_peer: Callable[[float], Peer],
+        spawn_peer: Callable[[float], PeerRowView],
         on_departure: Callable[[int], None],
         rng: np.random.Generator,
         telemetry=None,
@@ -104,7 +105,7 @@ class ChurnProcess:
         self._process: Optional[Process] = None
 
     # -- single events ------------------------------------------------------
-    def arrive(self) -> Peer:
+    def arrive(self) -> PeerRowView:
         peer = self.spawn_peer(self.sim.now)
         self.n_arrivals += 1
         if self.telemetry is not None:
@@ -142,16 +143,8 @@ class ChurnProcess:
         return pid
 
     def _update_store_gauges(self) -> None:
-        """Mirror the SoA store's membership bookkeeping into gauges.
-
-        Counters/gauges sit outside the event stream, so this is
-        backend-divergent by design (the exactness contract covers
-        events only); the object directory simply has no store and
-        skips the gauges entirely.
-        """
-        store = getattr(self.directory, "store", None)
-        if store is None:
-            return
+        """Mirror the peer store's membership bookkeeping into gauges."""
+        store = self.directory.store
         metrics = self.telemetry.metrics
         metrics.gauge("store.generation").set(store.generation)
         metrics.gauge("store.rows_recycled").set(store.rows_recycled)

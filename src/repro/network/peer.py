@@ -1,4 +1,4 @@
-"""Peers: heterogeneous end-systems with capacity, uptime and access links.
+"""Peers and the peer directory: capacity, uptime and access links.
 
 Paper §4.1: "Each peer is randomly assigned an initial resource
 availability RA = [cpu, memory], ranging from [100,100] to [1000,1000]
@@ -6,7 +6,7 @@ units.  Different units reflect the heterogeneity in P2P systems" --
 a laptop is ~[100,100], a desktop ~[500,500], a cluster server
 ~[1000,1000].
 
-A :class:`Peer` tracks
+Every peer has
 
 * ``capacity``  -- the fixed end-system resource vector,
 * ``available`` -- capacity minus active reservations,
@@ -15,25 +15,31 @@ A :class:`Peer` tracks
 * ``joined_at`` -- for uptime (= ``now - joined_at``), the peer-selection
   longevity signal.
 
-:class:`PeerDirectory` owns the id space and the alive set, and provides
-vectorized views (capacity / availability matrices) so that scoring and
-churn sampling stay O(alive peers) numpy operations rather than Python
-loops.
+:class:`PeerDirectory` owns the id space and the alive set.  Alive
+peers live as rows of a struct-of-arrays
+:class:`~repro.network.soa.PeerStore`, so scoring, probing and churn
+sampling stay numpy operations over O(alive peers) rows; callers that
+handle one peer at a time get a :class:`~repro.network.soa.PeerRowView`.
+A departing peer's final state is frozen into a detached :class:`Peer`
+tombstone before its row is recycled: session rollback still credits a
+departed peer, and those credits must never reach the row's next
+tenant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.resources import ResourceVector
+from repro.network.soa import PeerRowView, PeerStore
 
 __all__ = ["Peer", "PeerDirectory"]
 
 
 class Peer:
-    """One peer host."""
+    """One peer host, detached from the store (a departed peer's tombstone)."""
 
     __slots__ = (
         "peer_id",
@@ -119,97 +125,170 @@ class Peer:
 
 
 class PeerDirectory:
-    """The id space and alive-set of the grid, with vectorized views."""
+    """The id space and alive set of the grid, backed by a PeerStore.
 
-    def __init__(self, resource_names: Sequence[str] = ("cpu", "memory")) -> None:
+    Answers ``get``/``__getitem__``/``__contains__`` for every id ever
+    created (row views while alive, tombstones after departure) and
+    exposes :attr:`store` plus vectorized row resolution so the hot
+    planes (selection, probing, admission) can work on array slices.
+    """
+
+    def __init__(
+        self,
+        resource_names: Sequence[str] = ("cpu", "memory"),
+        initial_rows: int = 256,
+    ) -> None:
         self.resource_names = tuple(resource_names)
-        self._peers: Dict[int, Peer] = {}
+        self.store = PeerStore(resource_names, initial_rows)
+        #: pid -> row for alive peers; -1 once departed (grown with ids).
+        self._row_of = np.full(max(initial_rows, 16), -1, dtype=np.int64)
+        #: PeerRowView while alive, a detached ``Peer`` tombstone after
+        #: departure.
+        self._views: Dict[int, Union[PeerRowView, Peer]] = {}
         self._alive_ids: List[int] = []
-        self._alive_dirty = False
+        #: Store rows of ``_alive_ids``, position for position, in the
+        #: first ``len(_alive_ids)`` slots (spare capacity past that).
+        self._alive_rows = np.empty(max(initial_rows, 16), dtype=np.int64)
         self._next_id = 0
-        #: Membership generation: bumped on every create/depart, mirrors
-        #: :attr:`repro.network.soa.PeerStore.generation` so the two
-        #: backends stamp identical provenance into a sanitizer ledger.
-        self.generation = 0
         #: Optional :class:`repro.sim.sanitizer.Sanitizer` write barrier.
         self.sanitizer = None
 
-    # -- population ----------------------------------------------------------
+    @property
+    def generation(self) -> int:
+        """Membership generation (the store's alloc/free counter)."""
+        return self.store.generation
+
+    # -- population ------------------------------------------------------
     def create_peer(
         self, capacity: ResourceVector, access_bw: float, joined_at: float
-    ) -> Peer:
+    ) -> PeerRowView:
+        if access_bw <= 0:
+            raise ValueError(
+                f"peer {self._next_id}: access bandwidth must be positive"
+            )
         pid = self._next_id
         self._next_id += 1
-        peer = Peer(pid, capacity, access_bw, joined_at)
-        self._peers[pid] = peer
+        row = self.store.alloc_row()
+        self.store.init_row(row, capacity.values, float(access_bw), float(joined_at))
+        if pid >= len(self._row_of):
+            grown = np.full(2 * len(self._row_of), -1, dtype=np.int64)
+            grown[: len(self._row_of)] = self._row_of
+            self._row_of = grown
+        self._row_of[pid] = row
+        n = len(self._alive_ids)
+        if n == len(self._alive_rows):
+            grown = np.empty(2 * n, dtype=np.int64)
+            grown[:n] = self._alive_rows
+            self._alive_rows = grown
+        self._alive_rows[n] = row
         self._alive_ids.append(pid)
-        self.generation += 1
+        view = PeerRowView(pid, self.store, row)
+        self._views[pid] = view
         if self.sanitizer is not None:
-            self.sanitizer.note_write("network", "peer-create", self.generation)
-        return peer
+            self.sanitizer.note_write(
+                "network", "peer-create", self.store.generation
+            )
+        return view
 
     def depart(self, peer_id: int, now: float) -> Peer:
-        peer = self._peers[peer_id]
-        if not peer.alive:
-            raise ValueError(f"peer {peer_id} already departed")
-        peer.departed_at = now
-        self._alive_dirty = True
-        self.generation += 1
+        row = self.row_of(peer_id)
+        if row < 0:
+            if peer_id in self._views:
+                raise ValueError(f"peer {peer_id} already departed")
+            raise KeyError(peer_id)
+        store = self.store
+        # Freeze the final mutable state into a detached tombstone so
+        # post-departure mutations (rollback credits, ghost snapshots)
+        # can never touch a recycled row.
+        corpse = Peer(
+            peer_id,
+            ResourceVector(self.resource_names, store.capacity[row].copy()),
+            float(store.access_bw[row]),
+            float(store.joined_at[row]),
+        )
+        corpse.available.values[:] = store.available[row]
+        corpse.avail_up = float(store.avail_up[row])
+        corpse.avail_down = float(store.avail_down[row])
+        corpse.departed_at = now
+        store.departed_at[row] = now
+        store.free_row(row)
+        self._row_of[peer_id] = -1
+        self._views[peer_id] = corpse
+        # In-place removal preserves the alive-id ordering the workload
+        # RNG indexes into.  Alive rows are unique and aligned with the
+        # ids, so one array scan finds the position; ids and rows then
+        # shift down by that same one slot.
+        n = len(self._alive_ids)
+        rows = self._alive_rows
+        i = int(np.flatnonzero(rows[:n] == row)[0])
+        del self._alive_ids[i]
+        rows[i:n - 1] = rows[i + 1:n]
         if self.sanitizer is not None:
-            self.sanitizer.note_write("network", "peer-depart", self.generation)
-        return peer
+            self.sanitizer.note_write(
+                "network", "peer-depart", self.store.generation
+            )
+        return corpse
 
     # -- lookup ----------------------------------------------------------
-    def __getitem__(self, peer_id: int) -> Peer:
-        return self._peers[peer_id]
+    def __getitem__(self, peer_id: int) -> Union[PeerRowView, Peer]:
+        view = self._views.get(peer_id)
+        if view is None:
+            raise KeyError(peer_id)
+        return view
 
-    def get(self, peer_id: int) -> Optional[Peer]:
-        return self._peers.get(peer_id)
+    def get(self, peer_id: int) -> Optional[Union[PeerRowView, Peer]]:
+        return self._views.get(peer_id)
 
     def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._peers
+        return peer_id in self._views
 
     def __len__(self) -> int:
-        return len(self._peers)
+        return self._next_id
 
     def is_alive(self, peer_id: int) -> bool:
-        peer = self._peers.get(peer_id)
-        return peer is not None and peer.alive
+        return 0 <= peer_id < self._next_id and self._row_of[peer_id] >= 0
 
+    # -- row resolution (the SoA fast-plane entry point) -----------------
+    def row_of(self, peer_id: int) -> int:
+        """The store row of ``peer_id``; -1 when departed or unknown."""
+        if 0 <= peer_id < self._next_id:
+            return int(self._row_of[peer_id])
+        return -1
+
+    def rows_for(self, peer_ids: np.ndarray) -> np.ndarray:
+        """Vectorized ``row_of`` (-1 marks departed/unknown ids)."""
+        return self._row_of[peer_ids]
+
+    # -- alive views ------------------------------------------------------
     @property
     def alive_ids(self) -> List[int]:
-        """Ids of currently alive peers (cached; O(1) when no churn)."""
-        if self._alive_dirty:
-            self._alive_ids = [
-                pid for pid in self._alive_ids if self._peers[pid].alive
-            ]
-            self._alive_dirty = False
+        """Ids of currently alive peers, in creation order."""
         return self._alive_ids
+
+    def alive_rows(self) -> np.ndarray:
+        """Store rows of the alive peers, aligned with :attr:`alive_ids`.
+
+        A view that the next membership change overwrites; copy it to
+        keep it.
+        """
+        return self._alive_rows[: len(self._alive_ids)]
 
     @property
     def n_alive(self) -> int:
         return len(self.alive_ids)
 
-    def alive_peers(self) -> Iterator[Peer]:
-        return (self._peers[pid] for pid in self.alive_ids)
+    def alive_peers(self) -> Iterator[Union[PeerRowView, Peer]]:
+        return (self._views[pid] for pid in self._alive_ids)
 
-    # -- vectorized views ---------------------------------------------------
+    # -- vectorized views -------------------------------------------------
     def uptimes(self, now: float) -> Tuple[np.ndarray, List[int]]:
         """``(uptimes, ids)`` arrays over alive peers, aligned."""
         ids = self.alive_ids
-        up = np.fromiter(
-            (now - self._peers[pid].joined_at for pid in ids),
-            dtype=np.float64,
-            count=len(ids),
-        )
+        up = now - self.store.joined_at[self.alive_rows()]
         return up, ids
 
-    def availability_matrix(self, peer_ids: Iterable[int]) -> np.ndarray:
-        """Rows of ``available`` vectors for the given peers."""
-        rows = [self._peers[pid].available.values for pid in peer_ids]
-        if not rows:
-            return np.empty((0, len(self.resource_names)))
-        return np.stack(rows)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PeerDirectory {self.n_alive} alive / {len(self._peers)} total>"
+        return (
+            f"<PeerDirectory {self.n_alive} alive / {self._next_id} total, "
+            f"{self.store.memory_bytes()} B>"
+        )

@@ -1,13 +1,11 @@
-"""Struct-of-arrays peer state: the 10^4..10^5-peer representation.
+"""Struct-of-arrays peer state: the arrays behind the peer directory.
 
-The object-backed :class:`~repro.network.peer.PeerDirectory` keeps one
-Python ``Peer`` per host, which makes every hot plane -- candidate
-selection, prober snapshot refresh, admission accounting -- a Python
-loop over objects.  This module stores the same state as contiguous
-numpy arrays (:class:`PeerStore`) so those planes can operate on array
-slices, and keeps the ``Peer`` surface alive as a thin row-view facade
-(:class:`PeerRowView`) so every existing caller of ``PeerDirectory``'s
-public API keeps working unchanged.
+:class:`~repro.network.peer.PeerDirectory` keeps every alive peer's
+state as contiguous numpy arrays (:class:`PeerStore`) so the hot planes
+-- candidate selection, prober snapshot refresh, admission accounting
+-- operate on array slices instead of looping over Python objects.
+:class:`PeerRowView` gives one row the ``Peer`` surface for the callers
+that handle a single peer at a time.
 
 Layout
 ------
@@ -24,32 +22,21 @@ Layout
 Rows are recycled through a free list when peers depart; ``generation``
 bumps on every membership change (the same invalidation discipline the
 discovery-plane caches use, see ``lookup/cache.py``), so anything
-holding row indices can cheaply detect staleness.
-
-Departure semantics
--------------------
-The object directory keeps departed ``Peer`` corpses forever (session
-rollback deliberately credits them; the stale-state fault serves their
-last snapshot).  Here a departing peer's final state is copied into a
-detached object-backend ``Peer`` tombstone before its row returns to
-the free list -- mutations on the corpse (rollback credits) hit the
-tombstone, never a recycled row, and the directory keeps answering
-``get``/``__getitem__``/``__contains__`` for departed ids exactly like
-the object backend.  The differential suite
-(tests/perf/test_soa_differential.py) proves the two backends produce
-byte-identical telemetry per seed.
+holding row indices can cheaply detect staleness.  A departing peer's
+final state moves into a detached :class:`~repro.network.peer.Peer`
+tombstone before its row returns to the free list, so nothing that
+outlives the departure can write into a recycled row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer
 
-__all__ = ["PeerStore", "PeerRowView", "SoAPeerDirectory"]
+__all__ = ["PeerStore", "PeerRowView"]
 
 
 class PeerStore:
@@ -173,7 +160,8 @@ class PeerRowView:
     Never caches array views: every property fetches through the store
     so buffer growth (reallocation) can never leave a stale alias.
     Row views exist only for *alive* peers -- departure replaces the
-    view with a detached tombstone (see :class:`SoAPeerDirectory`).
+    view with a detached tombstone (see
+    :meth:`repro.network.peer.PeerDirectory.depart`).
     """
 
     __slots__ = ("peer_id", "_store", "_row")
@@ -287,207 +275,4 @@ class PeerRowView:
         return (
             f"<PeerRowView {self.peer_id} row={self._row} "
             f"avail={self._store.available[self._row]}>"
-        )
-
-
-class SoAPeerDirectory:
-    """Drop-in :class:`~repro.network.peer.PeerDirectory` on a PeerStore.
-
-    Same public API (create/depart/get/alive views); additionally
-    exposes :attr:`store` plus vectorized row resolution so the hot
-    planes (selection, probing, admission) can bypass the facade.
-    """
-
-    def __init__(
-        self,
-        resource_names: Sequence[str] = ("cpu", "memory"),
-        initial_rows: int = 256,
-    ) -> None:
-        self.resource_names = tuple(resource_names)
-        self.store = PeerStore(resource_names, initial_rows)
-        #: pid -> row for alive peers; -1 once departed (grown with ids).
-        self._row_of = np.full(max(initial_rows, 16), -1, dtype=np.int64)
-        #: Lazily materialized facades: PeerRowView while alive, a
-        #: detached object-backend ``Peer`` tombstone after departure.
-        self._views: Dict[int, object] = {}
-        self._departed: Dict[int, Peer] = {}
-        self._alive_ids: List[int] = []
-        self._alive_dirty = False
-        #: Store rows of ``_alive_ids``, position for position, in the
-        #: first ``len(_alive_ids)`` slots (spare capacity past that).
-        self._alive_rows = np.empty(max(initial_rows, 16), dtype=np.int64)
-        self._next_id = 0
-        self._n_total = 0
-        #: Optional :class:`repro.sim.sanitizer.Sanitizer` write barrier.
-        self.sanitizer = None
-
-    @property
-    def generation(self) -> int:
-        """Membership generation (the store's alloc/free counter)."""
-        return self.store.generation
-
-    # -- population ------------------------------------------------------
-    def create_peer(
-        self, capacity: ResourceVector, access_bw: float, joined_at: float
-    ):
-        if access_bw <= 0:
-            raise ValueError(
-                f"peer {self._next_id}: access bandwidth must be positive"
-            )
-        pid = self._next_id
-        self._next_id += 1
-        self._n_total += 1
-        row = self.store.alloc_row()
-        self.store.init_row(row, capacity.values, float(access_bw), float(joined_at))
-        if pid >= len(self._row_of):
-            grown = np.full(2 * len(self._row_of), -1, dtype=np.int64)
-            grown[: len(self._row_of)] = self._row_of
-            self._row_of = grown
-        self._row_of[pid] = row
-        n = len(self._alive_ids)
-        if n == len(self._alive_rows):
-            grown = np.empty(2 * n, dtype=np.int64)
-            grown[:n] = self._alive_rows
-            self._alive_rows = grown
-        self._alive_rows[n] = row
-        self._alive_ids.append(pid)
-        view = PeerRowView(pid, self.store, row)
-        self._views[pid] = view
-        if self.sanitizer is not None:
-            self.sanitizer.note_write(
-                "network", "peer-create", self.store.generation
-            )
-        return view
-
-    def depart(self, peer_id: int, now: float):
-        row = int(self._row_of[peer_id]) if peer_id < self._next_id else -1
-        if row < 0:
-            if peer_id in self._departed:
-                raise ValueError(f"peer {peer_id} already departed")
-            raise KeyError(peer_id)
-        store = self.store
-        # Freeze the final mutable state into a detached tombstone so
-        # post-departure mutations (rollback credits, ghost snapshots)
-        # can never touch a recycled row.
-        corpse = Peer(
-            peer_id,
-            ResourceVector(self.resource_names, store.capacity[row].copy()),
-            float(store.access_bw[row]),
-            float(store.joined_at[row]),
-        )
-        corpse.available.values[:] = store.available[row]
-        corpse.avail_up = float(store.avail_up[row])
-        corpse.avail_down = float(store.avail_down[row])
-        corpse.departed_at = now
-        store.departed_at[row] = now
-        store.free_row(row)
-        self._row_of[peer_id] = -1
-        self._departed[peer_id] = corpse
-        self._views[peer_id] = corpse
-        # In-place removal preserves the alive-id ordering the workload
-        # RNG indexes into.  Alive rows are unique and aligned with the
-        # ids, so one array scan finds the position; ids and rows then
-        # shift down by that same one slot.
-        ids = self._alive_ids
-        n = len(ids)
-        rows = self._alive_rows
-        hit = np.flatnonzero(rows[:n] == row)
-        if len(hit) and not self._alive_dirty:
-            i = int(hit[0])
-            del ids[i]
-            rows[i:n - 1] = rows[i + 1:n]
-        else:
-            self._alive_dirty = True
-        if self.sanitizer is not None:
-            self.sanitizer.note_write(
-                "network", "peer-depart", self.store.generation
-            )
-        return corpse
-
-    # -- lookup ----------------------------------------------------------
-    def __getitem__(self, peer_id: int):
-        view = self._views.get(peer_id)
-        if view is None:
-            raise KeyError(peer_id)
-        return view
-
-    def get(self, peer_id: int):
-        return self._views.get(peer_id)
-
-    def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._views
-
-    def __len__(self) -> int:
-        return self._n_total
-
-    def is_alive(self, peer_id: int) -> bool:
-        return 0 <= peer_id < self._next_id and self._row_of[peer_id] >= 0
-
-    # -- row resolution (the SoA fast-plane entry point) -----------------
-    def row_of(self, peer_id: int) -> int:
-        """The store row of ``peer_id``; -1 when departed or unknown."""
-        if 0 <= peer_id < self._next_id:
-            return int(self._row_of[peer_id])
-        return -1
-
-    def rows_for(self, peer_ids: np.ndarray) -> np.ndarray:
-        """Vectorized ``row_of`` (-1 marks departed/unknown ids)."""
-        return self._row_of[peer_ids]
-
-    # -- alive views ------------------------------------------------------
-    @property
-    def alive_ids(self) -> List[int]:
-        """Ids of currently alive peers (cached; O(1) when no churn)."""
-        if self._alive_dirty:
-            row_of = self._row_of
-            self._alive_ids = [
-                pid for pid in self._alive_ids if row_of[pid] >= 0
-            ]
-            ids = np.asarray(self._alive_ids, dtype=np.int64)
-            self._alive_rows[: len(ids)] = row_of[ids]
-            self._alive_dirty = False
-        return self._alive_ids
-
-    def alive_rows(self) -> np.ndarray:
-        """Store rows of the alive peers, aligned with :attr:`alive_ids`.
-
-        A view that the next membership change overwrites; copy it to
-        keep it.
-        """
-        return self._alive_rows[: len(self.alive_ids)]
-
-    @property
-    def n_alive(self) -> int:
-        return len(self.alive_ids)
-
-    def alive_peers(self) -> Iterator[object]:
-        return (self._views[pid] for pid in self.alive_ids)
-
-    # -- vectorized views -------------------------------------------------
-    def uptimes(self, now: float) -> Tuple[np.ndarray, List[int]]:
-        """``(uptimes, ids)`` arrays over alive peers, aligned."""
-        ids = self.alive_ids
-        up = now - self.store.joined_at[self.alive_rows()]
-        return up, ids
-
-    def availability_matrix(self, peer_ids: Iterable[int]) -> np.ndarray:
-        """Rows of ``available`` vectors for the given peers."""
-        ids = list(peer_ids)
-        if not ids:
-            return np.empty((0, len(self.resource_names)))
-        rows = self._row_of[np.asarray(ids, dtype=np.int64)]
-        if (rows >= 0).all():
-            return self.store.available[rows].copy()
-        out = np.empty((len(ids), len(self.resource_names)))
-        for i, (pid, row) in enumerate(zip(ids, rows)):
-            if row >= 0:
-                out[i] = self.store.available[row]
-            else:
-                out[i] = self._departed[pid].available.values
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<SoAPeerDirectory {self.n_alive} alive / {self._n_total} total, "
-            f"{self.store.memory_bytes()} B>"
         )

@@ -17,7 +17,7 @@ Memory is bounded by a cap: the bottleneck capacity, which every
 :attr:`NetworkModel.MEMO_CAP` entries (the memo then stops growing), so
 each hot pair is hashed once.  Latency is hashed on demand and never
 memoized -- only the latency-aware Φ term, the latency experiments and
-the per-``PeerInfo`` probing path read it.
+single-target ``ProbingService.observe`` read it.
 
 End-to-end *available* bandwidth additionally accounts for consumption:
 

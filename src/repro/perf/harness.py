@@ -318,9 +318,8 @@ def _record_scale(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     )
     grid = profiler.grid
-    store = getattr(grid.directory, "store", None) if grid is not None else None
-    if store is not None:
-        record["store_memory_bytes"] = store.memory_bytes()
+    if grid is not None:
+        record["store_memory_bytes"] = grid.directory.store.memory_bytes()
     return record
 
 

@@ -37,6 +37,16 @@ snapshot to fall back on, reports the target as unknown -- which sends
 the selector down its plain random-fallback path.  The backoff delays
 are virtual (the setup exchange is synchronous); they are recorded on
 ``retry.attempt`` telemetry events rather than the sim clock.
+
+Snapshot planes
+---------------
+Without an injector, epoch snapshots live in the peer store's
+``snap_*`` arrays and a whole candidate list is observed in one array
+pass (:meth:`ProbingService.observe_block`).  Under fault injection the
+prober answers one target at a time, in candidate order, so the
+injector's draws keep their order; its snapshots are per-peer objects,
+because a ghost snapshot (``stale_state``) must outlive the departed
+peer's recycled store row.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.resources import ResourceVector
-from repro.core.selection import PeerInfo
+from repro.core.selection import ObservedBlock, PeerInfo, block_from_infos
 from repro.faults.backoff import RetryPolicy
 from repro.network.peer import PeerDirectory
 from repro.network.topology import NetworkModel
@@ -56,13 +66,6 @@ from repro.probing.neighbors import NeighborTable
 from repro.sim.engine import Simulator
 
 __all__ = ["ProbingConfig", "ProbingService"]
-
-#: ``observe_block``'s result: ``(known, avail, betas, uptimes,
-#: latencies)``; ``latencies`` is ``None`` unless requested.
-ObservedBlock = Tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
-]
-
 
 @dataclass(frozen=True)
 class ProbingConfig:
@@ -135,14 +138,12 @@ class ProbingService:
         #: keeps the probe fast path loss-free and allocation-identical.
         self.injector = injector
         self._tables: Dict[int, NeighborTable] = {}
+        #: Epoch snapshots live in the store's ``snap_*`` arrays
+        #: (refreshed per neighbor block).  Under fault injection they
+        #: live here instead, one ``_Snapshot`` per peer: a ghost
+        #: snapshot must outlive its peer's recycled row, and a failed
+        #: refresh degrades to the previous epoch's object.
         self._snapshots: Dict[int, _Snapshot] = {}
-        #: Struct-of-arrays backing (``None`` on the object directory).
-        #: With a store AND no injector, epoch snapshots live in the
-        #: store's ``snap_*`` arrays (refreshed per neighbor block)
-        #: instead of per-peer ``_Snapshot`` objects; fault injection
-        #: keeps the dict plane, whose ghost/degrade semantics are
-        #: per-object by nature.
-        self._store = getattr(directory, "store", None)
         self.probe_messages = 0
         self.resolution_messages = 0
 
@@ -337,7 +338,7 @@ class ProbingService:
         return snap
 
     def _snapshot(self, target: int):
-        """The current-epoch snapshot of ``target``.
+        """The current-epoch snapshot of ``target`` (fault injection only).
 
         Returns ``None`` when the peer is dead, the sentinel ``_LOST``
         when the probe failed this epoch but the peer may still be
@@ -350,11 +351,7 @@ class ProbingService:
         snap = self._snapshots.get(target)
         if snap is not None and snap.epoch == epoch:
             return snap
-        inj = self.injector
-        if inj is None:
-            self._record_probe()
-            return self._take_snapshot(peer, target, epoch)
-        return self._probe_with_faults(peer, target, epoch, snap, inj)
+        return self._probe_with_faults(peer, target, epoch, snap, self.injector)
 
     def _probe_with_faults(self, peer, target, epoch, prev, inj):
         """One refresh under fault injection: timeout, retry, degrade."""
@@ -384,42 +381,27 @@ class ProbingService:
                 target=target,
             )
 
-    def _row_snapshot(self, target: int, epoch: int) -> int:
-        """Array-plane :meth:`_snapshot`: refresh ``target``'s store row.
-
-        Returns the store row (refreshed to ``epoch`` if stale, with the
-        same probe accounting and ``probe.refresh`` event the dict plane
-        records) or ``-1`` when the peer is departed.  Only called with
-        no injector attached, so a refresh never fails.
-        """
-        row = self.directory.row_of(target)
-        if row < 0:
-            return -1
-        store = self._store
-        if store.snap_epoch[row] != epoch:
-            self._record_probe()
-            store.snap_avail[row] = store.available[row]
-            store.snap_up[row] = store.avail_up[row]
-            uptime = self.sim.now - store.joined_at[row]
-            store.snap_uptime[row] = uptime if uptime > 0.0 else 0.0
-            store.snap_epoch[row] = epoch
-            tel = self.telemetry
-            if tel is not None:
-                tel.bus.emit("probe.refresh", target=target, epoch=epoch)
-        return row
-
     def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
         """The observer's (stale, bounded) view of target; None if unknown."""
-        tbl = self._tables.get(observer)
-        if tbl is None:
-            return None
-        entry = tbl.get(target, self.sim.now)
-        if entry is None:
-            return None
-        if self._store is not None and self.injector is None:
-            return self._observe_row(observer, target, tbl)
         inj = self.injector
-        if inj is not None and inj.partitioned(observer, target):
+        if inj is None:
+            _, avail, betas, uptimes, _ = self.observe_block(observer, (target,))
+            if not len(betas):
+                return None
+            availability = ResourceVector.__new__(ResourceVector)
+            availability.names = self.directory.resource_names
+            availability.values = avail[0]
+            return PeerInfo(
+                peer_id=target,
+                availability=availability,
+                bandwidth_to_observer=float(betas[0]),
+                uptime=float(uptimes[0]),
+                latency=self.network.latency_ms(target, observer),
+            )
+        tbl = self._tables.get(observer)
+        if tbl is None or tbl.get(target, self.sim.now) is None:
+            return None
+        if inj.partitioned(observer, target):
             # The probe cannot cross the cut; the entry stays (soft
             # state survives a partition, unlike a discovered death).
             inj.inject("partition", "probe", observer=observer, target=target)
@@ -427,7 +409,7 @@ class ProbingService:
         snap = self._snapshot(target)
         if snap is _LOST:
             return None  # probe failed; keep the entry, report unknown
-        if snap is None and inj is not None and inj.ghost_active(target):
+        if snap is None and inj.ghost_active(target):
             # stale_state fault: the departure has not propagated yet, so
             # the observer still trusts the last snapshot it holds.
             snap = self._snapshots.get(target)
@@ -457,59 +439,28 @@ class ProbingService:
             latency=self.network.latency_ms(target, observer),
         )
 
-    def _observe_row(self, observer: int, target: int, tbl) -> Optional[PeerInfo]:
-        """Array-plane :meth:`observe` body (store present, no injector)."""
-        epoch = int(self.sim.now / self.config.period)
-        row = self._row_snapshot(target, epoch)
-        if row < 0:
-            tbl.drop(target)  # probe discovered the departure
-            self._snapshots.pop(target, None)
-            return None
-        store = self._store
-        orow = self.directory.row_of(observer)
-        observer_down = (
-            store.avail_down[orow] if orow >= 0 else float("inf")
-        )
-        network = self.network
-        beta = network.pair_capacity(target, observer) - network.pair_reserved(
-            target, observer
-        )
-        if store.snap_up[row] < beta:
-            beta = store.snap_up[row]
-        if observer_down < beta:
-            beta = observer_down
-        if beta < 0.0:
-            beta = 0.0
-        availability = ResourceVector.__new__(ResourceVector)
-        availability.names = self.directory.resource_names
-        availability.values = store.snap_avail[row]
-        return PeerInfo(
-            peer_id=target,
-            availability=availability,
-            bandwidth_to_observer=beta,
-            uptime=store.snap_uptime[row],
-            latency=network.latency_ms(target, observer),
-        )
-
     def observe_block(
         self, observer: int, targets: Sequence[int], latency: bool = False
-    ) -> Optional[ObservedBlock]:
+    ) -> ObservedBlock:
         """Array form of ``[observe(observer, t) for t in targets]``.
 
-        Returns ``(known, avail, betas, uptimes, latencies)`` where
-        ``known`` is a bool mask over ``targets`` and the other arrays
-        align with ``known``'s True positions (candidate order):
-        ``avail`` is the ``(k, m)`` snapshot availability block, the rest
-        are ``(k,)``; ``latencies`` is ``None`` unless ``latency`` is
-        set (only a latency-aware Φ reads it).  Values, table pruning,
-        probe accounting and ``probe.refresh`` events match the
-        per-target :meth:`observe` chain exactly: stale rows refresh
-        under one mask in candidate order, and β takes the same
-        elementwise clamps.  ``None`` when the array plane is
-        unavailable (object directory or fault injection).
+        Returns the :data:`~repro.core.selection.ObservedBlock`
+        ``(known, avail, betas, uptimes, latencies)``; ``latencies`` may
+        be ``None`` unless ``latency`` is set (only a latency-aware Φ
+        reads it).  Without an injector the block comes from the store's
+        ``snap_*`` plane: stale rows refresh under one mask in candidate
+        order (a repeated target refreshes once), expired entries and
+        departed targets are pruned from the table, and β is
+        ``min(pair capacity - reserved, snapshot uplink, observer
+        downlink)`` clamped at zero.  Under fault
+        injection it is built from per-target :meth:`observe` calls in
+        candidate order, so every injector draw happens in that order.
         """
-        if self._store is None or self.injector is not None:
-            return None
+        if self.injector is not None:
+            return block_from_infos(
+                [self.observe(observer, t) for t in targets],
+                len(self.directory.resource_names),
+            )
         n = len(targets)
         tbl = self._tables.get(observer)
         if tbl is None or not len(tbl):
@@ -527,15 +478,14 @@ class ProbingService:
         gone = expired | (rows < 0)
         if gone.any():
             # Expired entries are pruned; a departed target is a probe
-            # discovering the death.  Repeats of a pruned target were
-            # misses in the scalar chain too, so a mask drops them all.
-            # (The store plane keeps no ``_snapshots`` to forget.)
+            # discovering the death.  Repeats of a pruned target are
+            # misses too, so a mask drops them all.
             tbl.remove_slots(k_slots[gone])
             live = ~gone
             pos, k_targets, rows = pos[live], k_targets[live], rows[live]
             if not len(pos):
                 return self._empty_block(n)
-        store = self._store
+        store = self.directory.store
         epoch = int(now / self.config.period)
         stale = store.snap_epoch[rows] != epoch
         if stale.any():
@@ -588,69 +538,6 @@ class ProbingService:
         empty = np.empty(0, dtype=np.float64)
         m = len(self.directory.resource_names)
         return np.zeros(n, dtype=bool), np.empty((0, m)), empty, empty, None
-
-    def observe_many(
-        self, observer: int, targets: Sequence[int]
-    ) -> List[Optional[PeerInfo]]:
-        """Batched :meth:`observe` over one observer's candidate list.
-
-        Produces exactly ``[observe(observer, t) for t in targets]`` --
-        the per-observer work (table lookup, downlink residual, resource
-        names) is hoisted out of the loop.  Store-backed directories
-        (whose selection goes through :meth:`observe_block`) and fault
-        injection (whose per-target injector draws must happen in the
-        scalar order) take the scalar path.
-        """
-        if self.injector is not None or self._store is not None:
-            return [self.observe(observer, t) for t in targets]
-        tbl = self._tables.get(observer)
-        if tbl is None:
-            return [None] * len(targets)
-        now = self.sim.now
-        observer_peer = self.directory.get(observer)
-        observer_down = (
-            observer_peer.avail_down if observer_peer is not None else float("inf")
-        )
-        resource_names = self.directory.resource_names
-        network = self.network
-        snapshots = self._snapshots
-        # Injector-free departures always pass through drop_peer(), which
-        # pops the snapshot -- so an epoch-fresh snapshot implies a live
-        # peer and the directory re-check can be skipped inline.
-        epoch = int(now / self.config.period)
-        out: List[Optional[PeerInfo]] = []
-        for target in targets:
-            if tbl.get(target, now) is None:
-                out.append(None)
-                continue
-            snap = snapshots.get(target)
-            if snap is None or snap.epoch != epoch:
-                snap = self._snapshot(target)
-                if snap is None:
-                    tbl.drop(target)  # probe discovered the departure
-                    snapshots.pop(target, None)
-                    out.append(None)
-                    continue
-            beta = network.pair_capacity(target, observer) - network.pair_reserved(
-                target, observer
-            )
-            if snap.avail_up < beta:
-                beta = snap.avail_up
-            if observer_down < beta:
-                beta = observer_down
-            if beta < 0.0:
-                beta = 0.0
-            availability = ResourceVector.__new__(ResourceVector)
-            availability.names = resource_names
-            availability.values = snap.availability
-            out.append(PeerInfo(
-                peer_id=target,
-                availability=availability,
-                bandwidth_to_observer=beta,
-                uptime=snap.uptime,
-                latency=network.latency_ms(target, observer),
-            ))
-        return out
 
     # -- overhead metrics ------------------------------------------------------
     def overhead_ratio(self) -> float:

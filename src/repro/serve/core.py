@@ -413,16 +413,8 @@ class GridRuntime:
                 "n_peers": grid.directory.n_alive,
                 "n_instances": grid.catalog.n_instances,
                 "generation": getattr(grid.ring, "generation", 0),
-                "peer_state_backend": grid.config.peer_state_backend,
-                "peer_store_bytes": (
-                    store.memory_bytes()
-                    if (store := getattr(grid.directory, "store", None))
-                    is not None
-                    else None
-                ),
-                "peer_rows_recycled": (
-                    store.rows_recycled if store is not None else 0
-                ),
+                "peer_store_bytes": grid.directory.store.memory_bytes(),
+                "peer_rows_recycled": grid.directory.store.rows_recycled,
                 "churn_arrivals": churn.n_arrivals if churn is not None else 0,
                 "churn_departures": churn.n_departures if churn is not None else 0,
             },

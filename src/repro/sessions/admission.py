@@ -124,17 +124,17 @@ def reserve_session(
 
 
 def _soa_reserve(
-    directory,
+    directory: PeerDirectory,
     network: NetworkModel,
     instances: Sequence[ServiceInstance],
     peers: Sequence[int],
     user_peer: int,
 ) -> bool:
-    """Vectorized resource stage over a struct-of-arrays directory.
+    """Vectorized resource stage over the directory's peer store.
 
     Returns ``True`` when the whole reservation was handled here.
     Returns ``False`` -- with *no state mutated* -- whenever the scalar
-    path must run instead: object-backed directory, duplicate peers
+    path must run instead: no peers, duplicate peers
     (NumPy fancy-index writes do not accumulate), a dead/unknown peer,
     or a resource shortage.  The last two matter for bit-exactness: the
     scalar attempt mutates earlier peers and then rolls them back, and
@@ -143,9 +143,9 @@ def _soa_reserve(
     path an elementwise fancy-index subtract over *distinct* rows is
     bitwise-identical to the sequential per-peer subtracts.
     """
-    store = getattr(directory, "store", None)
-    if store is None or not peers:
+    if not peers:
         return False
+    store = directory.store
     row_of = directory.row_of
     rows: List[int] = []
     for pid in peers:
@@ -241,9 +241,8 @@ def rollback_session(
     when that peer departed (its ledger died with it; releasing onto the
     corpse would be harmless but misleading in stats).
     """
-    store = getattr(directory, "store", None)
-    if store is not None and skip_peer is None and held_res:
-        # SoA credit: one fancy-index add over distinct live rows is
+    if skip_peer is None and held_res:
+        # Store credit: one fancy-index add over distinct live rows is
         # bitwise-identical to the sequential per-peer releases.  Any
         # corpse (row -1), duplicate peer, or over-release (the scalar
         # guard would raise peer-by-peer) falls through to the exact
@@ -252,6 +251,7 @@ def rollback_session(
         if min(rows) >= 0 and len(set(rows)) == len(rows):
             rows_arr = np.fromiter(rows, np.int64, len(rows))
             reqs = np.stack([req.values for _, req in held_res])
+            store = directory.store
             new = store.available[rows_arr] + reqs
             if not (new > store.capacity[rows_arr] + 1e-9).any():
                 store.available[rows_arr] = new

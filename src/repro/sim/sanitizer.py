@@ -15,13 +15,12 @@ proves each *run* actually behaved: it records, in order,
 into one ordered ledger exported as canonical JSONL.  Two runs are
 behaviourally identical iff their ledgers are byte-identical;
 :func:`compare_ledgers` names the first divergent record (and, inside
-an epoch record, the first divergent stream) so a cross-backend or
-cross-shard regression points at the plane that drifted.
+an epoch record, the first divergent stream) so a cross-shard or
+cross-config regression points at the plane that drifted.
 
 This is the differential instrument the sharded engine (ROADMAP item 1)
 will be validated with: N shards vs 1 shard must produce the same
-ledger, exactly as ``object`` vs ``soa`` peer-state backends must today
-(``tests/sim/test_sanitizer.py``).
+ledger (``tests/sim/test_sanitizer.py`` pins the same-seed case).
 
 Design constraints, in order:
 
@@ -136,7 +135,7 @@ class Sanitizer:
         """Open the ledger with the run's identity record.
 
         Deliberately excludes anything equivalence classes of runs are
-        *allowed* to differ in (peer-state backend, fast-path gates):
+        *allowed* to differ in (fast-path gates):
         the compare contract is that those knobs produce byte-identical
         ledgers, so they must not appear in the bytes.
         """

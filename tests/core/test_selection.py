@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.core.selection import PeerInfo, PeerSelector, PhiWeights
+from repro.core.selection import (
+    PeerInfo,
+    PeerSelector,
+    PhiWeights,
+    block_from_infos,
+)
 
 NAMES = ("cpu", "memory")
 
@@ -19,8 +24,10 @@ class DictView:
     def __init__(self, infos):
         self.infos = {i.peer_id: i for i in infos}
 
-    def observe(self, observer, target):
-        return self.infos.get(target)
+    def observe_block(self, observer, targets, latency=False):
+        return block_from_infos(
+            [self.infos.get(t) for t in targets], len(NAMES)
+        )
 
 
 def info(pid, cpu=100.0, mem=100.0, bw=1e6, uptime=1e9, latency=20.0):

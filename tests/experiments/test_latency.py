@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.selection import PeerInfo, PeerSelector, PhiWeights
+from repro.core.selection import (
+    PeerInfo,
+    PeerSelector,
+    PhiWeights,
+    block_from_infos,
+)
 from repro.core.resources import ResourceVector
 from repro.experiments.latency import (
     mean_overlay_hop_ms,
@@ -80,8 +85,10 @@ class TestLatencyAwarePhi:
             def __init__(self, infos):
                 self.infos = {i.peer_id: i for i in infos}
 
-            def observe(self, observer, target):
-                return self.infos.get(target)
+            def observe_block(self, observer, targets, latency=False):
+                return block_from_infos(
+                    [self.infos.get(t) for t in targets], len(NAMES)
+                )
 
         infos = [
             PeerInfo(1, rv(100, 100), 1e6, 1e9, 1.0),     # near

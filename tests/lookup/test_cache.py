@@ -10,7 +10,7 @@ discovery dedupe and the fault-injector bypass.
 import numpy as np
 import pytest
 
-from repro.lookup.cache import BoundedCache, CacheStats, trim_mapping
+from repro.lookup.cache import BoundedCache, CacheStats
 from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.services.applications import default_applications
@@ -81,18 +81,6 @@ class TestCacheStats:
         s = CacheStats()
         s.hits, s.misses = 3, 1
         assert s.as_dict() == {"hits": 3, "misses": 1, "hit_rate": 0.75}
-
-
-class TestTrimMapping:
-    def test_noop_under_cap(self):
-        d = {i: i for i in range(3)}
-        assert trim_mapping(d, 5) == 0
-        assert len(d) == 3
-
-    def test_evicts_oldest_inserted(self):
-        d = {i: i for i in range(6)}
-        assert trim_mapping(d, 4) == 2
-        assert list(d) == [2, 3, 4, 5]
 
 
 @pytest.fixture()

@@ -112,18 +112,6 @@ class TestPeerDirectory:
         assert ids == [0, 1, 2]
         assert list(up) == [10.0, 9.0, 8.0]
 
-    def test_availability_matrix(self):
-        d = self.make(3)
-        d[0].reserve(rv(50, 50))
-        m = d.availability_matrix([0, 2])
-        assert m.shape == (2, 2)
-        assert list(m[0]) == [50.0, 50.0]
-        assert list(m[1]) == [102.0, 102.0]
-
-    def test_availability_matrix_empty(self):
-        d = self.make(1)
-        assert d.availability_matrix([]).shape == (0, 2)
-
     def test_alive_peers_iterates_alive_only(self):
         d = self.make(3)
         d.depart(0, 0.0)

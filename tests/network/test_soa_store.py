@@ -1,18 +1,18 @@
 """Unit coverage for the struct-of-arrays peer store and directory.
 
-The differential suite (tests/perf/test_soa_differential.py) proves the
-SoA backend equals the object backend end to end; these tests pin the
-store's own mechanics -- row recycling on departure/rejoin, generation
-bumps, snapshot-epoch reset, free-list order, array growth -- at the
-unit level, where a regression is attributable to one method.
+The directory differential (test_directory_differential.py) checks the
+directory's public surface against an object reference; these tests pin
+the store's own mechanics -- row recycling on departure/rejoin,
+generation bumps, snapshot-epoch reset, free-list order, array growth --
+at the unit level, where a regression is attributable to one method.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer
-from repro.network.soa import PeerRowView, PeerStore, SoAPeerDirectory
+from repro.network.peer import Peer, PeerDirectory
+from repro.network.soa import PeerRowView, PeerStore
 
 NAMES = ("cpu", "memory")
 
@@ -22,7 +22,7 @@ def rv(*values):
 
 
 def make_directory(initial_rows=16):
-    return SoAPeerDirectory(NAMES, initial_rows=initial_rows)
+    return PeerDirectory(NAMES, initial_rows=initial_rows)
 
 
 class TestPeerStoreRows:
@@ -159,15 +159,6 @@ class TestDirectoryLifecycle:
         assert rows.tolist() == [d.row_of(pid) for pid in d.alive_ids]
         up, ids = d.uptimes(4.0)
         assert ids == [0, 2, 4] and up.tolist() == [4.0, 4.0, 4.0]
-
-    def test_availability_matrix_covers_departed_ids(self):
-        d = make_directory()
-        a = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
-        b = d.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
-        assert a.reserve(rv(1.0, 1.0))
-        d.depart(b.peer_id, now=1.0)
-        mat = d.availability_matrix([a.peer_id, b.peer_id])
-        assert mat.tolist() == [[3.0, 7.0], [2.0, 2.0]]
 
     def test_directory_grows_row_index_past_initial_rows(self):
         d = make_directory(initial_rows=16)

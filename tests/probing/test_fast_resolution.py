@@ -1,11 +1,11 @@
 """Equivalence tests for the probing-plane fast paths.
 
 ``resolve_selection_hops``'s fast path pre-trims the triple list before
-the neighbor table sees it, and ``observe_many`` batches the per-target
-loop of ``observe``.  Both are claimed *exact*: identical table state
-(contents AND iteration order, which future evictions depend on) and
-identical PeerInfo streams.  These tests drive randomized schedules
-through a fast and a slow instance side by side.
+the neighbor table sees it, and ``observe_block`` observes a whole
+candidate list in one array pass.  Both are claimed *exact*: identical
+table state (contents AND iteration order, which future evictions
+depend on) and identical observations.  These tests drive randomized
+schedules through a fast and a slow instance side by side.
 """
 
 import numpy as np
@@ -48,33 +48,51 @@ def test_resolve_selection_hops_fast_path_is_exact():
         assert _table_state(fast) == _table_state(slow)
 
 
-def test_observe_many_matches_scalar_observe():
+def _twin_grid():
     grid = P2PGrid(GridConfig(n_peers=120, seed=5))
-    prober = grid.probing
     agg = grid.make_aggregator("qsa")
-    rng = np.random.default_rng(7)
     for _ in range(10):  # populate tables + snapshots through real traffic
-        req = grid.make_request("video-on-demand", qos_level="average",
-                                duration=3.0)
-        agg.aggregate(req)
-    observers = [o for o, t in prober._tables.items() if len(t)]
+        agg.aggregate(grid.make_request("video-on-demand",
+                                        qos_level="average", duration=3.0))
+    grid.sim.run(until=grid.sim.now + 1.5)  # next epoch: snapshots stale
+    return grid
+
+
+def test_observe_block_matches_sequential_observe():
+    block_grid, scalar_grid = _twin_grid(), _twin_grid()
+    rng = np.random.default_rng(7)
+    observers = [o for o, t in block_grid.probing._tables.items() if len(t) > 3]
     assert observers
-    pids = list(grid.directory.alive_ids)
+    pids = list(block_grid.directory.alive_ids)
+    now = block_grid.sim.now
     for observer in observers:
+        members = [e.peer_id for e in
+                   block_grid.probing._tables[observer].entries()]
+        expired, departed = members[0], members[1]
+        for grid in (block_grid, scalar_grid):
+            tbl = grid.probing._tables[observer]
+            tbl.expiry[tbl.slots(np.array([expired]))] = now - 1.0
+            if grid.directory.is_alive(departed) and departed != observer:
+                grid.directory.depart(departed, now)
         targets = ([int(p) for p in rng.choice(pids, size=20)]
-                   + [e.peer_id for e in prober._tables[observer].entries()][:10])
-        batched = prober.observe_many(observer, targets)
-        scalar = [prober.observe(observer, t) for t in targets]
-        assert len(batched) == len(scalar)
-        for b, s in zip(batched, scalar):
-            if s is None:
-                assert b is None
-                continue
-            assert b is not None
-            assert b.peer_id == s.peer_id
-            assert b.bandwidth_to_observer == s.bandwidth_to_observer
-            assert b.uptime == s.uptime
-            assert b.latency == s.latency
-            assert b.availability.names == s.availability.names
-            assert np.array_equal(b.availability.values,
-                                  s.availability.values)
+                   + members[:10] + members[2:5]  # repeated targets
+                   + [expired, departed])
+        known, avail, betas, uptimes, latencies = (
+            block_grid.probing.observe_block(observer, targets, latency=True)
+        )
+        infos = [scalar_grid.probing.observe(observer, t) for t in targets]
+        assert known.tolist() == [i is not None for i in infos]
+        hits = [i for i in infos if i is not None]
+        assert np.array_equal(
+            avail.reshape(len(hits), -1),
+            np.array([i.availability.values for i in hits]).reshape(
+                len(hits), -1),
+        )
+        assert betas.tolist() == [i.bandwidth_to_observer for i in hits]
+        assert uptimes.tolist() == [i.uptime for i in hits]
+        assert latencies.tolist() == [i.latency for i in hits]
+        assert (_table_state(block_grid.probing)
+                == _table_state(scalar_grid.probing))
+        assert (block_grid.probing.probe_messages
+                == scalar_grid.probing.probe_messages)
+        assert not known[-2:].any()  # the expired and the departed entry

@@ -3,9 +3,6 @@
 The differential tests are the tentpole contract of ``repro sanitize``:
 
 * two runs with identical seeds export **byte-identical** ledgers,
-* the ``object`` and ``soa`` peer-state backends export byte-identical
-  ledgers for the same seed (the ledger deliberately records no backend
-  identity),
 * a seed or config change is named at its *first* divergent record, and
 * turning the sanitizer on leaves the telemetry export byte-identical
   (the instrument never feeds back into the run).
@@ -196,11 +193,10 @@ class TestCompare:
             compare_ledgers([], [])
 
 
-def small_config(seed: int = 11, backend: str = "soa") -> ExperimentConfig:
+def small_config(seed: int = 11) -> ExperimentConfig:
     grid = GridConfig(
         n_peers=200,
         seed=seed,
-        peer_state_backend=backend,
         probing=ProbingConfig(budget=10),
         churn=ChurnConfig(rate_per_min=4.0),
     )
@@ -221,12 +217,6 @@ class TestRunDifferential:
         run_with_ledger(small_config(), b)
         assert a.read_bytes() == b.read_bytes()
         assert compare_ledger_files(str(a), str(b)).identical
-
-    def test_object_and_soa_backends_agree(self, tmp_path):
-        a, b = tmp_path / "soa.jsonl", tmp_path / "obj.jsonl"
-        run_with_ledger(small_config(backend="soa"), a)
-        run_with_ledger(small_config(backend="object"), b)
-        assert a.read_bytes() == b.read_bytes()
 
     def test_seed_mismatch_is_named_at_the_first_record(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
