@@ -81,9 +81,6 @@ class Peer:
         return max(0.0, end - self.joined_at)
 
     # -- end-system resource accounting -----------------------------------
-    def can_fit(self, requirement: ResourceVector) -> bool:
-        return self.available.covers(requirement)
-
     def reserve(self, requirement: ResourceVector) -> bool:
         """Atomically reserve ``requirement``; False if it does not fit."""
         if not self.available.covers(requirement):

@@ -223,11 +223,6 @@ class PeerRowView:
         return float(self._store.joined_at[self._row])
 
     # -- end-system resource accounting ---------------------------------
-    def can_fit(self, requirement: ResourceVector) -> bool:
-        return bool(
-            (self._store.available[self._row] >= requirement.values).all()
-        )
-
     def reserve(self, requirement: ResourceVector) -> bool:
         avail = self._store.available[self._row]
         if not (avail >= requirement.values).all():

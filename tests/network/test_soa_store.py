@@ -170,7 +170,6 @@ class TestDirectoryLifecycle:
     def test_row_view_accounting_matches_object_peer(self):
         d = make_directory()
         p = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
-        assert p.can_fit(rv(4.0, 8.0))
         assert p.reserve(rv(3.0, 3.0))
         assert not p.reserve(rv(2.0, 1.0))  # atomic: nothing deducted
         assert p.available.values.tolist() == [1.0, 5.0]
