@@ -113,12 +113,12 @@ class GridConfig:
     telemetry: bool = False
     #: Retain at most this many bus events (None = unbounded).
     telemetry_capacity: Optional[int] = None
-    #: Discovery-plane fast paths: generation-invalidated route memos in
-    #: the DHTs, the registry's record cache + batched discovery, and the
-    #: prober's fresh-entry resolution skip.  Semantics are byte-identical
-    #: on or off (seeded telemetry exports, ψ, hop counts -- proven by the
-    #: differential test); off trades wall-clock speed for simpler
-    #: debugging.  See docs/performance.md.
+    #: Discovery-plane fast paths: closed-form Chord routing and CAN's
+    #: generation-invalidated route memo, the registry's record cache +
+    #: batched discovery, and the prober's fresh-entry resolution skip.
+    #: Semantics are byte-identical on or off (seeded telemetry exports,
+    #: ψ, hop counts -- proven by the differential test); off trades
+    #: wall-clock speed for simpler debugging.  See docs/performance.md.
     fast_paths: bool = True
     #: Fault injection plan; ``None`` (or an empty plan) keeps every
     #: substrate operation reliable and the fast paths fault-check-free.

@@ -7,7 +7,9 @@ We implement the box:
 
 * :mod:`~repro.lookup.chord` -- a Chord ring: hashed identifier space,
   successor responsibility, per-node key storage with handoff on
-  join/leave, and greedy finger routing with O(log N) hop counts.
+  join/leave, and greedy finger routing with O(log N) hop counts; each
+  hop jumps to the closest preceding finger in closed form (one bisect,
+  no finger table).
 * :mod:`~repro.lookup.can` -- a CAN: d-dimensional torus key space,
   zone splits/takeovers under churn, greedy coordinate routing with
   O(d N^(1/d)) hop counts.

@@ -10,7 +10,8 @@ keeping the *simulated* semantics byte-identical:
   whose generation does not match the ring's is cleared wholesale before
   use, so no entry can survive a membership change.
 * :class:`CacheStats` -- plain hit/miss counters shared by every cache
-  site (route memo, record cache, QCS plan cache).
+  site (CAN's route memo, the registry's record cache, the QCS plan
+  cache).
 
 Neither of these draw RNG, advance the simulator or emit bus events --
 instrumentation is metrics-counters only, so a cached run's telemetry
@@ -58,14 +59,15 @@ class CacheStats:
 class BoundedCache:
     """An LRU mapping with a size cap and a generation tag.
 
-    The owner decides what a generation means (for the DHT route memos
-    it is the ring-membership counter).  :meth:`check_generation` clears
-    the cache when the tag moved, which is the *only* invalidation the
-    route memos need: every entry is a pure function of (key, membership).
+    The owner decides what a generation means (for CAN's route memo and
+    the registry's record cache it is the membership counter).
+    :meth:`check_generation` clears the cache when the tag moved, which
+    is the *only* invalidation a route memo needs: every entry is a pure
+    function of (key, membership).
 
     Hit/miss accounting is explicit (``stats``) rather than implicit in
     :meth:`get`, because call sites count at different granularities --
-    the Chord walk probes the memo once per visited node but records one
+    the CAN walk probes the memo once per visited node but records one
     hit/miss per *lookup*.
     """
 

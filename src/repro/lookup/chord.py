@@ -19,9 +19,11 @@ implementation covers the pieces the aggregation model exercises:
 Fingers are *derived* from the current ring membership (equivalent to a
 fully converged stabilization protocol) rather than incrementally
 maintained -- the simplification and its rationale are recorded in
-DESIGN.md §4.  Ring membership itself is explicit: ``join``/``leave``
-mutate a sorted id list (bisect-based, O(log N) search, O(N) splice --
-cheap at the churn rates simulated).
+DESIGN.md §4.  Derived fingers need no table at all: the closest
+preceding finger has a closed form (see :meth:`ChordRing._walk`), so a
+hop costs one bisect over the sorted membership.  Ring membership itself
+is explicit: ``join``/``leave`` mutate a sorted id list (bisect-based,
+O(log N) search, O(N) splice -- cheap at the churn rates simulated).
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from repro.lookup.cache import BoundedCache
 
 __all__ = ["ChordNode", "ChordRing"]
 
@@ -62,17 +60,13 @@ class ChordRing:
     #: Optional :class:`repro.telemetry.Telemetry`; set by the grid when
     #: telemetry is enabled (per-lookup hop events + histograms).
     telemetry = None
-    #: Route-memo fast path (synced with ``GridConfig.fast_paths`` by the
-    #: grid).  The memo is *exact*: with a fixed membership, the greedy
-    #: finger walk's next hop is a pure function of (current node, key),
-    #: so ``(key, node) -> (remaining hops, target)`` entries reproduce
-    #: the uncached walk's hop count to the digit.  Every ``join``/
-    #: ``leave`` bumps :attr:`generation`, which clears the memo.
+    #: Routing fast path (synced with ``GridConfig.fast_paths`` by the
+    #: grid): on, each hop jumps to the closest preceding finger in closed
+    #: form; off, the walk probes every finger bit by bit.  Both visit the
+    #: same nodes, so hop counts agree to the digit.
     fast_paths = True
-    #: Route-memo entry cap ((key, node) pairs; LRU beyond this).
-    ROUTE_CACHE_CAP = 1 << 16
-    #: Finger-table memo cap (nodes; cleared wholesale on churn).
-    FINGER_CACHE_CAP = 1 << 14
+    #: Key-id memo cap (keys beyond it are re-hashed per call).
+    KEY_ID_CAP = 1 << 16
 
     def __init__(self, bits: int = 32, seed: int = 0) -> None:
         if not 8 <= bits <= 64:
@@ -83,23 +77,9 @@ class ChordRing:
         self._nodes: Dict[int, ChordNode] = {}  # node id -> node
         self._peer_to_id: Dict[int, int] = {}   # peer id -> node id
         #: Ring-membership generation: bumped by every join/leave; cache
-        #: consumers (the route memo here, the registry's record cache)
-        #: treat a generation mismatch as wholesale invalidation.
+        #: consumers (the registry's record cache) treat a generation
+        #: mismatch as wholesale invalidation.
         self.generation = 0
-        self._route_cache = BoundedCache(self.ROUTE_CACHE_CAP)
-        #: Memoized finger tables (node id -> fingers, farthest first).
-        #: Fingers are derived from the current membership, so they are a
-        #: pure function of (node, generation) -- same invalidation rule
-        #: as the route memo.
-        self._finger_cache: Dict[int, List[int]] = {}
-        self._finger_gen = -1
-        #: Sorted ids as a numpy array (rebuilt lazily per generation)
-        #: for the vectorized finger build.
-        self._ids_arr: Optional[np.ndarray] = None
-        #: Finger offsets 2^(bits-1) .. 2^0, matching the probe order.
-        self._pow2 = np.array(
-            [1 << i for i in range(bits - 1, -1, -1)], dtype=np.uint64
-        )
         #: key -> key_id memo (pure function of the key for a fixed seed).
         self._key_ids: Dict[str, int] = {}
         #: Routing statistics.
@@ -114,7 +94,7 @@ class ChordRing:
         kid = self._key_ids.get(key)
         if kid is None:
             kid = _hash_to_id(f"{self.seed}/key/{key}", self.bits)
-            if len(self._key_ids) < self.ROUTE_CACHE_CAP:
+            if len(self._key_ids) < self.KEY_ID_CAP:
                 self._key_ids[key] = kid
         return kid
 
@@ -184,13 +164,9 @@ class ChordRing:
             idx = 0
         return self._nodes[self._ids[idx]]
 
-    def _responsible_id(self, key_id: int, extra: Optional[int] = None) -> int:
-        """Node id responsible for ``key_id``; ``extra`` simulates a
-        candidate member not yet inserted (used during join handoff)."""
+    def _responsible_id(self, key_id: int) -> int:
+        """Node id responsible for ``key_id``."""
         ids = self._ids
-        if extra is not None:
-            pos = bisect.bisect_left(ids, extra)
-            ids = ids[:pos] + [extra] + ids[pos:]
         idx = bisect.bisect_left(ids, key_id)
         if idx == len(ids):
             idx = 0
@@ -217,58 +193,29 @@ class ChordRing:
 
     # -- routing ------------------------------------------------------------
     @staticmethod
-    def _in_open_interval(x: int, a: int, b: int, space: int) -> bool:
-        """``x in (a, b)`` on the circle (empty when a == b)."""
+    def _in_open_interval(x: int, a: int, b: int) -> bool:
+        """``x in (a, b)`` on the circle (everything but ``a`` when a == b)."""
         if a < b:
             return a < x < b
         return x > a or x < b
 
-    def _fingers(self, node_id: int) -> List[int]:
-        """``node_id``'s finger targets, farthest (2^(bits-1)) first."""
-        if self._finger_gen != self.generation:
-            self._finger_cache.clear()
-            self._finger_gen = self.generation
-            self._ids_arr = None
-        fingers = self._finger_cache.get(node_id)
-        if fingers is None:
-            # Vectorized successor resolution: one searchsorted over the
-            # sorted id array replaces ``bits`` bisect+dict probes.  The
-            # values are exactly ``successor(node_id + 2^i)`` -- wrap
-            # handled by sending end-of-array hits back to index 0.
-            ids = self._ids_arr
-            if ids is None:
-                ids = self._ids_arr = np.array(self._ids, dtype=np.uint64)
-            targets = self._pow2 + np.uint64(node_id)
-            if self.bits < 64:
-                targets &= np.uint64((1 << self.bits) - 1)
-            idx = np.searchsorted(ids, targets, side="left")
-            idx[idx == len(ids)] = 0
-            fingers = ids[idx].tolist()
-            if len(self._finger_cache) < self.FINGER_CACHE_CAP:
-                self._finger_cache[node_id] = fingers
-        return fingers
-
     def _closest_preceding(self, node_id: int, key_id: int) -> int:
-        """Greedy step: the farthest finger of ``node_id`` preceding key."""
-        if self.fast_paths:
-            # Memoized fingers + the interval test inlined: this probes
-            # up to ``bits`` fingers per routing step, making it the
-            # walk's innermost loop.
-            if node_id < key_id:
-                for finger in self._fingers(node_id):
-                    if node_id < finger < key_id:
-                        return finger
-            else:
-                for finger in self._fingers(node_id):
-                    if finger > node_id or finger < key_id:
-                        return finger
-            return node_id
+        """Reference greedy step: the farthest finger of ``node_id``
+        preceding the key, found by probing every finger in turn."""
         space = 1 << self.bits
         for i in range(self.bits - 1, -1, -1):
             finger = self._successor_node((node_id + (1 << i)) % space).node_id
-            if self._in_open_interval(finger, node_id, key_id, space):
+            if self._in_open_interval(finger, node_id, key_id):
                 return finger
         return node_id
+
+    def _start_id(self, from_peer: int) -> int:
+        start_id = self._peer_to_id.get(from_peer)
+        if start_id is None:
+            # A peer outside the ring bootstraps through its hashed
+            # position: one extra hop to whoever is responsible there.
+            start_id = self._successor_node(self.node_id_for(from_peer)).node_id
+        return start_id
 
     def lookup(self, key: str, from_peer: int) -> Tuple[ChordNode, int]:
         """Route from ``from_peer`` to the node holding ``key``.
@@ -279,59 +226,55 @@ class ChordRing:
         """
         if not self._ids:
             raise RuntimeError("ring is empty")
-        start_id = self._peer_to_id.get(from_peer)
-        if start_id is None:
-            # A peer outside the ring bootstraps through its hashed
-            # position: one extra hop to whoever is responsible there.
-            start_id = self._successor_node(self.node_id_for(from_peer)).node_id
-        cache = self._route_cache if self.fast_paths else None
-        if cache is not None:
-            cache.check_generation(self.generation)
-            entry = cache.get((key, start_id))
-            if entry is not None:
-                hops, target = entry
-                cache.stats.hits += 1
-                tel = self.telemetry
-                if tel is not None:
-                    tel.metrics.counter("cache.route.hits").inc()
-                self._account_lookup(key, from_peer, hops)
-                return self._nodes[target], hops
-            cache.stats.misses += 1
-            tel = self.telemetry
-            if tel is not None:
-                tel.metrics.counter("cache.route.misses").inc()
-        target, hops = self._walk(key, start_id, cache)
+        target, hops = self._walk(self.key_id(key), self._start_id(from_peer))
         self._account_lookup(key, from_peer, hops)
         return self._nodes[target], hops
 
-    def _walk(self, key: str, start_id: int, cache) -> Tuple[int, int]:
-        """The greedy finger walk from ``start_id``; ``(target, hops)``.
+    def _walk(self, key_id: int, start_id: int) -> Tuple[int, int]:
+        """The greedy finger walk from ``start_id``: ``(target, hops)``.
 
-        With a route memo the walk short-circuits at the first node whose
-        remaining distance is cached, and afterwards every node it
-        visited is memoized (the greedy next hop depends only on the
-        current node and the key, so the suffix distances are exact).
+        Closed form: let ``t`` be the node responsible for ``k`` and
+        ``p`` the node before it.  Finger ``i`` of ``n``,
+        ``successor(n + 2^i)``, lies in ``(n, k)`` exactly when some node
+        sits in ``[n + 2^i, k)``, i.e. when ``2^i <= (p - n) mod 2^m``.
+        So ``p`` hands over to ``t``, and any other node forwards to
+        ``successor(n + 2^j)`` with ``j = bit_length((p - n) mod 2^m) - 1``:
+        one bisect per hop, the same nodes as :meth:`_reference_walk`.
         """
-        key_id = self.key_id(key)
+        if not self.fast_paths:
+            return self._reference_walk(key_id, start_id)
+        ids = self._ids
+        n = len(ids)
+        idx = bisect.bisect_left(ids, key_id)
+        if idx == n:
+            idx = 0
+        target = ids[idx]
+        pred = ids[idx - 1]
+        mask = (1 << self.bits) - 1
+        bisect_left = bisect.bisect_left
+        current = start_id
+        hops = 0
+        while current != target:
+            hops += 1
+            if current == pred:
+                break
+            jump = 1 << (((pred - current) & mask).bit_length() - 1)
+            # Subtracting ``n`` wraps an end-of-list hit back to ids[0].
+            current = ids[bisect_left(ids, (current + jump) & mask) - n]
+        return target, hops
+
+    def _reference_walk(self, key_id: int, start_id: int) -> Tuple[int, int]:
+        """The walk as Chord states it, probing fingers bit by bit."""
         space = 1 << self.bits
         hops = 0
         current = start_id
         target = self._responsible_id(key_id)
-        trail: List[int] = []
         # Greedy finger walk until the key falls between us and our
         # successor (then one final hop to the successor).
         while current != target:
-            if cache is not None:
-                if hops:  # the caller already probed the start node
-                    entry = cache.get((key, current))
-                    if entry is not None:
-                        hops += entry[0]
-                        current = target
-                        break
-                trail.append(current)
             succ = self._successor_node((current + 1) % space).node_id
             if succ == target and (
-                self._in_open_interval(key_id, current, succ, space)
+                self._in_open_interval(key_id, current, succ)
                 or key_id == succ
             ):
                 current = succ
@@ -343,10 +286,6 @@ class ChordRing:
             else:
                 current = nxt
             hops += 1
-        if cache is not None:
-            cache.put((key, target), (0, target))
-            for i, node_id in enumerate(trail):
-                cache.put((key, node_id), (hops - i, target))
         return current, hops
 
     def _account_lookup(self, key: str, from_peer: int, hops: int) -> None:
@@ -373,34 +312,17 @@ class ChordRing:
         self._account_lookup(key, from_peer, hops)
 
     def cached_route_hops(self, key: str, from_peer: int) -> Optional[int]:
-        """The exact hop count a routed lookup would report, if memoized.
+        """The exact hop count a routed lookup would report.
 
-        With a fixed membership the greedy walk is a pure function of
-        (key, start node), so the answer is *exact* by construction:
-        either the route memo already holds the start node's remaining
-        distance, or a dry walk (no statistics, no telemetry, no store
-        access -- it only extends the memo, which is metrics-invisible)
-        computes it, short-circuiting at the first memoized trail node.
-        The registry's value-layer cache uses this to serve repeated
-        reads of an unchanged record from *any* requester while
-        replaying byte-identical ``lookup.done`` telemetry.
+        A dry walk: no statistics, no telemetry, no store access, no
+        state written (``None`` only on an empty ring).  The registry's
+        value-layer cache uses this to serve repeated reads of an
+        unchanged record from *any* requester while replaying
+        byte-identical ``lookup.done`` telemetry.
         """
-        if not self.fast_paths or not self._ids:
+        if not self._ids:
             return None
-        start_id = self._peer_to_id.get(from_peer)
-        if start_id is None:
-            start_id = self._successor_node(self.node_id_for(from_peer)).node_id
-        cache = self._route_cache
-        cache.check_generation(self.generation)
-        entry = cache.get((key, start_id))
-        if entry is not None:
-            return entry[0]
-        _, hops = self._walk(key, start_id, cache)
-        return hops
-
-    @property
-    def route_cache_stats(self):
-        return self._route_cache.stats
+        return self._walk(self.key_id(key), self._start_id(from_peer))[1]
 
     def get(self, key: str, from_peer: int) -> Tuple[Any, int]:
         """Routed read: ``(value or None, hops)``."""

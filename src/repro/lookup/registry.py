@@ -72,11 +72,12 @@ class ServiceRegistry:
     #: the grid).  An entry ``key -> value`` is valid only while *both*
     #: the ring-membership generation and the record's per-key generation
     #: (bumped by ``peer_joined``/``peer_departed`` content updates) are
-    #: unchanged.  A hit additionally needs the substrate's route memo to
-    #: answer :meth:`~repro.lookup.chord.ChordRing.cached_route_hops` for
-    #: the requesting peer -- that exact hop count (and the matching
-    #: ``lookup.done`` telemetry) is replayed, so any peer whose start
-    #: node lay on an earlier routed trail is served without a walk.
+    #: unchanged.  A hit replays the exact hop count the routed walk
+    #: would report for the requesting peer
+    #: (:meth:`~repro.lookup.chord.ChordRing.cached_route_hops`: Chord
+    #: re-walks in closed form without touching a store, CAN answers from
+    #: its route memo) and the matching ``lookup.done`` telemetry, so any
+    #: requester is served without a routed read.
     #: (Keying the value layer per ``(key, from_peer)`` made the hit rate
     #: collapse to ~0: requesters are drawn at random, so the same pair
     #: almost never recurs.)  Disabled whenever a fault injector is

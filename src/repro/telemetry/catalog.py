@@ -115,8 +115,8 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "probe.tables": ("gauge", "neighbor tables currently materialized"),
     "lookup.count": ("counter", "routed DHT lookups"),
     "lookup.hops": ("histogram", "application-level hops per lookup"),
-    "cache.route.hits": ("counter", "ring lookups answered at the start node"),
-    "cache.route.misses": ("counter", "ring lookups that walked the overlay"),
+    "cache.route.hits": ("counter", "CAN lookups answered from the route memo"),
+    "cache.route.misses": ("counter", "CAN lookups that walked the overlay"),
     "cache.record.hits": ("counter", "registry reads served from the record cache"),
     "cache.record.misses": ("counter", "registry reads that routed to the DHT"),
     "cache.qcs_plan.hits": ("counter", "vectorized-QCS composition plans reused"),

@@ -1,15 +1,11 @@
-"""Property tests: no cache may ever serve stale membership state.
+"""Property test: the registry's record cache never serves a stale host set.
 
-Hypothesis drives randomized join/leave/lookup interleavings against
-
-* a fast-path :class:`~repro.lookup.chord.ChordRing` mirrored by an
-  uncached twin -- every lookup must land on the same node with the same
-  hop count, and the responsible node must match a brute-force successor
-  computation over the *current* membership (a joined/departed peer can
-  therefore never be served from a stale route entry);
-* a :class:`~repro.lookup.registry.ServiceRegistry` under host-set churn
-  -- a departed peer must never appear in a discovered host set, and a
-  joined peer must appear immediately.
+Hypothesis drives randomized depart/rejoin/discover interleavings against
+a :class:`~repro.lookup.registry.ServiceRegistry` under host-set churn --
+a departed peer must never appear in a discovered host set, and a joined
+peer must appear immediately.  (The Chord ring itself keeps no route
+state; its closed-form walk is checked against the reference walk in
+``tests/lookup/test_chord_walk.py``.)
 
 Run under ``HYPOTHESIS_PROFILE=chaos`` for the CI chaos budget.
 """
@@ -21,67 +17,6 @@ from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.services.applications import default_applications
 from repro.services.catalog import CatalogConfig, generate_catalog
-
-# op = (kind, a, b): kind 0 = join, 1 = leave, 2 = lookup
-ops_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-KEYS = [f"key/{i}" for i in range(12)]
-
-
-def _brute_force_responsible(ring, key):
-    """Successor responsibility recomputed from scratch every call."""
-    key_id = ring.key_id(key)
-    ids = sorted(ring._ids)
-    for node_id in ids:
-        if node_id >= key_id:
-            return node_id
-    return ids[0]
-
-
-@settings(deadline=None)
-@given(ops=ops_strategy, seed=st.integers(min_value=0, max_value=7))
-def test_route_cache_never_stale_under_churn(ops, seed):
-    fast = ChordRing(bits=16, seed=seed)
-    slow = ChordRing(bits=16, seed=seed)
-    slow.fast_paths = False
-    members = []
-    next_pid = 0
-    for _ in range(8):  # seed membership
-        fast.join(next_pid)
-        slow.join(next_pid)
-        members.append(next_pid)
-        next_pid += 1
-    for kind, a, b in ops:
-        if kind == 0:
-            fast.join(next_pid)
-            slow.join(next_pid)
-            members.append(next_pid)
-            next_pid += 1
-        elif kind == 1 and len(members) > 2:
-            pid = members.pop(a % len(members))
-            fast.leave(pid)
-            slow.leave(pid)
-        else:
-            key = KEYS[a % len(KEYS)]
-            from_peer = members[b % len(members)]
-            node_f, hops_f = fast.lookup(key, from_peer)
-            node_s, hops_s = slow.lookup(key, from_peer)
-            assert node_f.node_id == node_s.node_id
-            assert hops_f == hops_s
-            # ... and both answers reflect the *current* membership.
-            assert node_f.node_id == _brute_force_responsible(fast, key)
-            assert node_f.peer_id in members
-    assert fast.n_lookups == slow.n_lookups
-    assert fast.total_hops == slow.total_hops
-
 
 # op = (kind, a, b): kind 0 = depart a host, 1 = rejoin, 2 = discover
 registry_ops = st.lists(
